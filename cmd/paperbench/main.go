@@ -11,7 +11,7 @@
 //
 // -metrics/-trace run one additional instrumented cell (workload
 // -obs-bench under scheme -obs-scheme) and emit its metrics JSON report
-// and Chrome trace; -debug (alias -pprof) serves the live debug mux —
+// and Chrome trace; -debug serves the live debug mux —
 // /debug/pprof for Go profiles of the sweep, /debug/shadow for a JSON
 // snapshot of the observation cell mid-run.
 package main
@@ -41,21 +41,13 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write a metrics JSON report of the observation cell to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the observation cell to this file")
 	obsBench := flag.String("obs-bench", "hmmer", "workload of the observation cell")
-	obsScheme := flag.String("obs-scheme", "dynamic-3", "scheme of the observation cell (accepts -pipe suffixed names)")
-	pipeline := flag.Bool("pipeline", false, "run the observation cell on the pipelined request engine")
-	channels := flag.Int("channels", 0, "run the observation cell on the N-channel memory system (same as a -cN scheme suffix)")
-	cores := flag.Int("cores", 0, "run the observation cell with N issuing cores (same as a -coreN scheme suffix)")
-	wb := flag.String("wb", "", "writeback scheduler of the observation cell: coupled | decoupled (same as a -wbd scheme suffix)")
+	obsScheme := flag.String("obs-scheme", "dynamic-3", "scheme of the observation cell, with any engine prefix and suffixes (e.g. dynamic-3-pipe-c2-wbd-core4)")
 	debugAddr := flag.String("debug", "", "serve the live debug mux (/debug/pprof, /debug/vars, /debug/shadow) on this address")
-	pprofAddr := flag.String("pprof", "", "alias for -debug (kept for compatibility)")
 	par := flag.Int("par", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
-	if *debugAddr == "" {
-		*debugAddr = *pprofAddr
-	}
 	experiments.SetParallelism(*par)
 
 	// File-based profiles for batch runs: the live -debug mux profiles a
@@ -113,7 +105,7 @@ func main() {
 	}
 
 	if col != nil {
-		if err := observe(r, *obsBench, *obsScheme, *pipeline, *channels, *cores, *wb, *metricsOut, *traceOut, col); err != nil {
+		if err := observe(r, *obsBench, *obsScheme, *metricsOut, *traceOut, col); err != nil {
 			fatal(err)
 		}
 	}
@@ -171,7 +163,7 @@ func main() {
 
 // observe runs the single instrumented (bench, scheme) cell and writes its
 // metrics report and/or Chrome trace.
-func observe(r experiments.Runner, bench, scheme string, pipeline bool, channels, cores int, wb, metricsOut, traceOut string, col *metrics.Collector) error {
+func observe(r experiments.Runner, bench, scheme, metricsOut, traceOut string, col *metrics.Collector) error {
 	p, ok := trace.ByName(bench)
 	if !ok {
 		return fmt.Errorf("observe: unknown benchmark %q", bench)
@@ -179,33 +171,6 @@ func observe(r experiments.Runner, bench, scheme string, pipeline bool, channels
 	s, err := experiments.ParseScheme(scheme)
 	if err != nil {
 		return err
-	}
-	if pipeline {
-		if s.Insecure {
-			return fmt.Errorf("observe: the insecure baseline has no ORAM engine to pipeline")
-		}
-		s.Pipeline = true
-	}
-	if channels > 0 {
-		if s.Insecure {
-			return fmt.Errorf("observe: the insecure baseline has no ORAM layout to interleave")
-		}
-		s.Channels = channels
-	}
-	if cores > 0 {
-		s.Cores = cores
-	}
-	switch wb {
-	case "":
-	case "coupled":
-		s.WBDecoupled = false
-	case "decoupled":
-		if s.Insecure {
-			return fmt.Errorf("observe: the insecure baseline has no writeback path to decouple")
-		}
-		s.WBDecoupled = true
-	default:
-		return fmt.Errorf("observe: unknown -wb value %q (want coupled or decoupled)", wb)
 	}
 	start := time.Now()
 	m, err := r.Observe(p, cpu.InOrder(), s, col)

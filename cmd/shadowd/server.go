@@ -97,7 +97,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	ocfg.L = cfg.L
 	ocfg.Functional = true
 	ocfg.Store = cfg.Backend
-	ctrl, _, err := core.New(ocfg, core.Dynamic(3))
+	ctrl, pol, err := core.New(ocfg, core.Dynamic(3))
 	if err != nil {
 		return nil, err
 	}
@@ -106,6 +106,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	mc := metrics.New(metrics.Options{Ledger: true})
 	ctrl.SetMetrics(mc)
+	pol.SetMetrics(mc)
 	q := oram.NewQueue(ctrl, cfg.Cores)
 	q.SetMetrics(mc)
 	s := &server{

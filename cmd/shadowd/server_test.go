@@ -247,3 +247,31 @@ func TestBatchedSubmitsStaySequential(t *testing.T) {
 		t.Fatalf("%d server-side errors", snap.Errors)
 	}
 }
+
+// TestShadowCreationReachesCollector pins that the duplication policy
+// reports into the server's collector: shadows the policy creates must
+// show up as rd_shadows/hd_shadows on /debug/shadow and /debug/kv, not
+// only as the controller's forwards.
+func TestShadowCreationReachesCollector(t *testing.T) {
+	srv, err := newServer(serverConfig{L: 6, Cores: 4, Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		key := fmt.Sprintf("k%d", i%64)
+		put := request{op: opPut, key: key, value: []byte(key)}
+		if resp := srv.submit(&put); resp.err != nil {
+			t.Fatalf("PUT %s: %v", key, resp.err)
+		}
+		get := request{op: opGet, key: key}
+		if resp := srv.submit(&get); resp.err != nil {
+			t.Fatalf("GET %s: %v", key, resp.err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.mc.Counter("rd_shadows") + srv.mc.Counter("hd_shadows"); n == 0 {
+		t.Fatalf("no shadow creation counted (forwards=%d)", srv.q.Controller().Stats().ShadowForwards)
+	}
+}

@@ -37,10 +37,6 @@ func main() {
 	bench := flag.String("bench", "hmmer", "workload: "+strings.Join(trace.Names(), ", "))
 	scheme := flag.String("scheme", "dynamic-3", "insecure | tiny | rd | hd | static-N | dynamic-N, each but insecure also with -pipe / -cN / -wbd suffixes, all with a -coreN suffix; an engine: prefix (e.g. ring:dynamic-3) selects a registered ORAM engine")
 	tp := flag.Bool("tp", false, "enable timing protection (constant-rate requests)")
-	pipeline := flag.Bool("pipeline", false, "pipelined request engine (same as a -pipe scheme suffix)")
-	channels := flag.Int("channels", 0, "multi-channel memory system with channel-interleaved layout (same as a -cN scheme suffix; 0 = legacy)")
-	cores := flag.Int("cores", 0, "cores issuing into the shared memory system (same as a -coreN scheme suffix; 0 = the CPU model's default)")
-	wb := flag.String("wb", "", "writeback scheduler: coupled | decoupled (same as a -wbd scheme suffix; empty = the scheme's default)")
 	refs := flag.Int("refs", 60000, "memory references per core")
 	seed := flag.Uint64("seed", 7, "workload seed")
 	treetop := flag.Int("treetop", 0, "cache the top N tree levels on-chip")
@@ -50,15 +46,10 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write a metrics JSON report to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON to this file")
 	debugAddr := flag.String("debug", "", "serve the live debug mux (/debug/pprof, /debug/vars, /debug/shadow) on this address (e.g. localhost:6060)")
-	pprofAddr := flag.String("pprof", "", "alias for -debug (kept for compatibility)")
 	window := flag.Int64("metrics-window", 0, "time-series window in cycles (0 = default)")
 	traceCap := flag.Int("trace-cap", 0, "trace ring-buffer capacity in events (0 = default)")
 	noLedger := flag.Bool("no-ledger", false, "disable the cycle-attribution ledger in the metrics report")
 	flag.Parse()
-
-	if *debugAddr == "" {
-		*debugAddr = *pprofAddr
-	}
 
 	p, ok := trace.ByName(*bench)
 	if !ok {
@@ -68,50 +59,21 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	ocfg := oram.Default()
-	ocfg.TimingProtection = *tp || s.TP
-	ocfg.TreetopLevels = *treetop
-	ocfg.XOR = *xor
-	ocfg.Pipeline = s.Pipeline || *pipeline
-	ocfg.Channels = s.Channels
-	if *channels > 0 {
-		ocfg.Channels = *channels
-	}
-	ocfg.WBDecoupled = s.WBDecoupled
-	switch *wb {
-	case "":
-	case "coupled":
-		ocfg.WBDecoupled = false
-	case "decoupled":
-		ocfg.WBDecoupled = true
-	default:
-		fail(fmt.Errorf("unknown -wb value %q (want coupled or decoupled)", *wb))
-	}
-	if s.Insecure && ocfg.Channels > 0 {
-		fail(fmt.Errorf("the insecure baseline has no ORAM layout to interleave"))
-	}
-	if s.Insecure && ocfg.WBDecoupled {
-		fail(fmt.Errorf("the insecure baseline has no writeback path to decouple"))
-	}
-	if *level > 0 {
-		ocfg.L = *level
-	}
-
-	spec := sim.Spec{Profile: p, Refs: *refs, Seed: *seed, ORAM: ocfg,
-		Insecure: s.Insecure, Engine: s.Engine, Policy: s.Policy}
+	s.TP = *tp
+	s.Treetop = *treetop
+	s.XOR = *xor
+	var cpuCfg cpu.Config
 	switch *cpuType {
 	case "inorder":
-		spec.CPU = cpu.InOrder()
+		cpuCfg = cpu.InOrder()
 	case "o3":
-		spec.CPU = cpu.O3()
+		cpuCfg = cpu.O3()
 	default:
 		fail(fmt.Errorf("unknown cpu type %q", *cpuType))
 	}
-	if s.Cores > 0 {
-		spec.CPU.Cores = s.Cores
-	}
-	if *cores > 0 {
-		spec.CPU.Cores = *cores
+	spec := experiments.Runner{Refs: *refs, Seed: *seed}.Spec(p, cpuCfg, s)
+	if *level > 0 {
+		spec.ORAM.L = *level
 	}
 
 	var col *metrics.Collector
@@ -141,7 +103,7 @@ func main() {
 
 	fmt.Printf("workload        %s (%d refs, seed %d)\n", p.Name, *refs, *seed)
 	fmt.Printf("scheme          %s (engine=%s tp=%v treetop=%d xor=%v pipeline=%v channels=%d wb=%s cpu=%s cores=%d)\n",
-		*scheme, engineName(s), ocfg.TimingProtection, *treetop, *xor, ocfg.Pipeline, ocfg.Channels, wbName(ocfg.WBDecoupled), *cpuType, spec.CPU.Cores)
+		s.Name, engineName(s), spec.ORAM.TimingProtection, *treetop, *xor, spec.ORAM.Pipeline, spec.ORAM.Channels, wbName(spec.ORAM.WBDecoupled), *cpuType, spec.CPU.Cores)
 	fmt.Printf("total cycles    %d\n", m.Cycles)
 	fmt.Printf("  data access   %d (%.1f%%)\n", m.DataAccess, 100*float64(m.DataAccess)/float64(m.Cycles))
 	fmt.Printf("  DRI           %d (%.1f%%)\n", m.DRI, 100*float64(m.DRI)/float64(m.Cycles))
@@ -159,11 +121,11 @@ func main() {
 			fmt.Printf("front end       %d issued, %d on-chip, %d coalesced, max depth %d\n",
 				q.Issued, q.OnChip, q.Coalesced, q.MaxDepth)
 		}
-		if ocfg.Pipeline {
+		if spec.ORAM.Pipeline {
 			fmt.Printf("pipeline        %d overlapped path reads, %d writeback cycles overlapped\n",
 				o.PipelinedReads, o.OverlapCycles)
 		}
-		if ocfg.WBDecoupled {
+		if spec.ORAM.WBDecoupled {
 			fmt.Printf("writeback       %d queued, %d slotted, %d forced, %d flushed (max pending %d, %d deferral cycles)\n",
 				o.WBEnqueued, o.WBSlotted, o.WBForced, o.WBFlushed, o.WBMaxPending, o.WBDeferralCycles)
 		}
@@ -199,7 +161,7 @@ func main() {
 			}
 		}
 		if m.Obs != nil {
-			m.Obs.Labels["scheme"] = *scheme
+			m.Obs.Labels["scheme"] = s.Name
 		}
 		if *metricsOut != "" {
 			if err := m.Obs.WriteFile(*metricsOut); err != nil {
@@ -209,7 +171,7 @@ func main() {
 		}
 		if *traceOut != "" {
 			if err := col.WriteTraceFile(*traceOut, map[string]string{
-				"bench": p.Name, "scheme": *scheme,
+				"bench": p.Name, "scheme": s.Name,
 			}); err != nil {
 				fail(err)
 			}

@@ -28,9 +28,11 @@ func report(cycles, pathRead int64) *metrics.Report {
 	}
 }
 
-func v2Report(cycles int64) *metrics.Report {
+// ledgerlessReport builds a cell report from a run without the ledger
+// (shadowsim -no-ledger).
+func ledgerlessReport(cycles int64) *metrics.Report {
 	return &metrics.Report{
-		Schema: metrics.SchemaV2,
+		Schema: metrics.Schema,
 		Cycles: cycles,
 		Latency: map[string]metrics.LatencyReport{
 			"request_forward": {LatencySummary: metrics.LatencySummary{Count: 10, P50: 7, P99: 9}},
@@ -38,11 +40,11 @@ func v2Report(cycles int64) *metrics.Report {
 	}
 }
 
-func TestBundleRoundTripMixedSchemas(t *testing.T) {
+func TestBundleRoundTripLedgerlessCell(t *testing.T) {
 	b := NewBundle()
 	b.Labels = map[string]string{"commit": "abc"}
 	b.Add("mcf/dynamic-3", report(1_000_000, 5000))
-	b.Add("mcf/dynamic-3-pipe", v2Report(900_000))
+	b.Add("mcf/dynamic-3-pipe", ledgerlessReport(900_000))
 
 	path := filepath.Join(t.TempDir(), "bundle.json")
 	if err := b.WriteFile(path); err != nil {
@@ -59,7 +61,7 @@ func TestBundleRoundTripMixedSchemas(t *testing.T) {
 		t.Fatal("v3 cell lost its ledger")
 	}
 	if got.Cells["mcf/dynamic-3-pipe"].Ledger != nil {
-		t.Fatal("v2 cell grew a ledger")
+		t.Fatal("ledger-less cell grew a ledger")
 	}
 	if want := []string{"mcf/dynamic-3", "mcf/dynamic-3-pipe"}; got.Names()[0] != want[0] || got.Names()[1] != want[1] {
 		t.Fatalf("names not sorted: %v", got.Names())
@@ -83,7 +85,7 @@ func TestDecodeBundleRejectsBadSchemas(t *testing.T) {
 func TestCompareIdenticalBundlesPassGate(t *testing.T) {
 	b := NewBundle()
 	b.Add("a", report(1_000_000, 5000))
-	b.Add("b", v2Report(500_000))
+	b.Add("b", ledgerlessReport(500_000))
 	d := Compare(b, b, 0)
 	if d.Regressed() || d.Changed() {
 		t.Fatalf("identical bundles flagged: %+v", d.Cells)

@@ -112,8 +112,8 @@ func ParseScheme(name string) (Scheme, error) {
 		if s.Insecure {
 			return Scheme{}, fmt.Errorf("experiments: scheme %q: the insecure baseline bypasses ORAM and takes no engine", name)
 		}
-		if err := checkEngineCaps(name, engine, info.Caps, s); err != nil {
-			return Scheme{}, err
+		if err := info.Caps.Check(engine, s.oramConfig()); err != nil {
+			return Scheme{}, fmt.Errorf("experiments: scheme %q: %w", name, err)
 		}
 		s.Name = name
 		s.Engine = engine
@@ -201,30 +201,9 @@ func ParseScheme(name string) (Scheme, error) {
 	}
 }
 
-// checkEngineCaps rejects a scheme whose suffixes request an axis outside
-// the named engine's capabilities — the parse-time mirror of
-// oram.Caps.Check, phrased in the scheme-suffix vocabulary.
-func checkEngineCaps(name, engine string, caps oram.Caps, s Scheme) error {
-	switch {
-	case s.Pipeline && !caps.Pipeline:
-		return fmt.Errorf("experiments: scheme %q: engine %q does not compose with -pipe", name, engine)
-	case s.Channels > 0 && !caps.Channels:
-		return fmt.Errorf("experiments: scheme %q: engine %q does not compose with -cN", name, engine)
-	case s.WBDecoupled && !caps.WBDecoupled:
-		return fmt.Errorf("experiments: scheme %q: engine %q does not compose with -wbd", name, engine)
-	case s.Cores > 1 && !caps.Cores:
-		return fmt.Errorf("experiments: scheme %q: engine %q does not compose with -coreN", name, engine)
-	case s.Treetop > 0 && !caps.Treetop:
-		return fmt.Errorf("experiments: scheme %q: engine %q does not support treetop caching", name, engine)
-	}
-	return nil
-}
-
-// spec assembles the sim.Spec of one (workload, scheme) cell.
-func (r Runner) spec(p trace.Profile, cpuCfg cpu.Config, s Scheme) sim.Spec {
-	if s.Cores > 0 {
-		cpuCfg.Cores = s.Cores
-	}
+// oramConfig maps the scheme's ORAM axes onto the default controller
+// configuration.
+func (s Scheme) oramConfig() oram.Config {
 	ocfg := oram.Default()
 	ocfg.TimingProtection = s.TP
 	ocfg.TreetopLevels = s.Treetop
@@ -232,6 +211,15 @@ func (r Runner) spec(p trace.Profile, cpuCfg cpu.Config, s Scheme) sim.Spec {
 	ocfg.Pipeline = s.Pipeline
 	ocfg.Channels = s.Channels
 	ocfg.WBDecoupled = s.WBDecoupled
+	return ocfg
+}
+
+// Spec assembles the sim.Spec of one (workload, scheme) cell: the one
+// path from a parsed scheme to a runnable configuration.
+func (r Runner) Spec(p trace.Profile, cpuCfg cpu.Config, s Scheme) sim.Spec {
+	if s.Cores > 0 {
+		cpuCfg.Cores = s.Cores
+	}
 	return sim.Spec{
 		Profile:  p,
 		CPU:      cpuCfg,
@@ -239,21 +227,21 @@ func (r Runner) spec(p trace.Profile, cpuCfg cpu.Config, s Scheme) sim.Spec {
 		Seed:     r.Seed,
 		Insecure: s.Insecure,
 		Engine:   s.Engine,
-		ORAM:     ocfg,
+		ORAM:     s.oramConfig(),
 		Policy:   s.Policy,
 	}
 }
 
 // Run executes one (workload, scheme) cell.
 func (r Runner) Run(p trace.Profile, cpuCfg cpu.Config, s Scheme) (sim.Metrics, error) {
-	return sim.Run(r.spec(p, cpuCfg, s))
+	return sim.Run(r.Spec(p, cpuCfg, s))
 }
 
 // Observe executes one cell with the observability collector attached:
 // the returned metrics carry the latency digest and Obs report, and col's
 // trace recorder (when tracing) holds the request lifecycles.
 func (r Runner) Observe(p trace.Profile, cpuCfg cpu.Config, s Scheme, col *metrics.Collector) (sim.Metrics, error) {
-	spec := r.spec(p, cpuCfg, s)
+	spec := r.Spec(p, cpuCfg, s)
 	spec.Metrics = col
 	m, err := sim.Run(spec)
 	if err == nil && m.Obs != nil {

@@ -68,11 +68,12 @@ func TestRunMatrixPropagatesErrors(t *testing.T) {
 
 // TestRunMatrixMatchesSerial pins the parallel sweep to the serial baseline:
 // every cell must be bit-identical to running the same spec alone, i.e. no
-// shared mutable state leaks between concurrent cells.
+// shared mutable state leaks between concurrent cells. An observed cell's
+// report must carry the full scheme name (the label both CLIs write).
 func TestRunMatrixMatchesSerial(t *testing.T) {
 	r := testRunner()
 	r.Refs = 3000
-	parsed := []Scheme{mustScheme(t, "tiny"), mustScheme(t, "dynamic-3-pipe")}
+	parsed := []Scheme{mustScheme(t, "tiny"), mustScheme(t, "dynamic-3-pipe"), mustScheme(t, "dynamic-3-pipe-c2-wbd")}
 	par, err := r.RunMatrix(cpu.InOrder(), parsed)
 	if err != nil {
 		t.Fatal(err)
@@ -85,6 +86,13 @@ func TestRunMatrixMatchesSerial(t *testing.T) {
 			}
 			if !reflect.DeepEqual(par[w][s], serial) {
 				t.Fatalf("cell %s/%s differs between RunMatrix and serial Run", p.Name, sc.Name)
+			}
+			obs, err := r.Observe(p, cpu.InOrder(), sc, metrics.New(metrics.Options{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := obs.Obs.Labels["scheme"]; got != sc.Name {
+				t.Fatalf("cell %s/%s: report labelled scheme %q", p.Name, sc.Name, got)
 			}
 		}
 	}

@@ -1,10 +1,10 @@
 // Package kv maps string keys and variable-length values onto fixed-size
-// ORAM blocks. It is the storage schema shared by examples/securekv and
-// cmd/shadowd: a Directory translates keys to block addresses (kept
-// on-chip — the key set is metadata the ORAM does not hide), and the
-// framing functions pack a value into a block with a length prefix so any
-// byte string round-trips exactly, including values ending in 0x00 (the
-// old trailing-zero trim corrupted those).
+// ORAM blocks. It is the storage schema cmd/shadowd serves: a Directory
+// translates keys to block addresses (kept on-chip — the key set is
+// metadata the ORAM does not hide), and the framing functions pack a
+// value into a block with a length prefix so any byte string round-trips
+// exactly, including values ending in 0x00 (the old trailing-zero trim
+// corrupted those).
 //
 // Nothing here is synchronised: the ORAM controller is single-threaded by
 // design, so callers already serialise accesses and guard the directory

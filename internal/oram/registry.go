@@ -70,7 +70,6 @@ type Caps struct {
 	Pipeline    bool // pipelined request engine (-pipe)
 	Channels    bool // multi-channel interleaved layout (-cN)
 	WBDecoupled bool // decoupled per-bucket writeback scheduler (-wbd)
-	Cores       bool // multi-core front end through the Queue (-coreN)
 	Functional  bool // real payloads (ReadBlock/WriteBlock/backing store)
 	Treetop     bool // on-chip treetop caching
 }
@@ -175,7 +174,7 @@ func init() {
 		Description: "Tiny ORAM (Path ORAM derivative) staged engine, the paper's baseline",
 		Caps: Caps{
 			Pipeline: true, Channels: true, WBDecoupled: true,
-			Cores: true, Functional: true, Treetop: true,
+			Functional: true, Treetop: true,
 		},
 		New: func(cfg Config, policy DupPolicy) (Engine, error) {
 			c, err := New(cfg, policy)

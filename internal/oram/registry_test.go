@@ -11,7 +11,7 @@ func TestRegistryPathEngine(t *testing.T) {
 		t.Fatal("path engine not registered")
 	}
 	c := info.Caps
-	if !(c.Pipeline && c.Channels && c.WBDecoupled && c.Cores && c.Functional && c.Treetop) {
+	if !(c.Pipeline && c.Channels && c.WBDecoupled && c.Functional && c.Treetop) {
 		t.Fatalf("path engine must compose with every axis: %+v", c)
 	}
 	found := false
@@ -87,7 +87,7 @@ func TestCapsCheckNamesTheAxis(t *testing.T) {
 	if err := none.Check("stub", Default()); err != nil {
 		t.Errorf("plain config rejected by a capless engine: %v", err)
 	}
-	all := Caps{Pipeline: true, Channels: true, WBDecoupled: true, Cores: true, Functional: true, Treetop: true}
+	all := Caps{Pipeline: true, Channels: true, WBDecoupled: true, Functional: true, Treetop: true}
 	cfg := Default()
 	cfg.Pipeline, cfg.Channels, cfg.WBDecoupled, cfg.TreetopLevels = true, 4, true, 2
 	if err := all.Check("stub", cfg); err != nil {

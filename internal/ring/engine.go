@@ -36,11 +36,10 @@ func init() {
 	oram.RegisterEngine(oram.EngineInfo{
 		Name:        EngineName,
 		Description: "Ring ORAM with shadow-carrying dummy slots (§II-C generality)",
-		// Ring composes with the multi-core front end; the pipelined
-		// issue, channel-interleaved layout, decoupled writeback
-		// scheduler, functional payloads and treetop cache are Path-engine
-		// machinery it does not (yet) share.
-		Caps:         oram.Caps{Cores: true},
+		// The pipelined issue, channel-interleaved layout, decoupled
+		// writeback scheduler, functional payloads and treetop cache are
+		// Path-engine machinery Ring does not (yet) share.
+		Caps:         oram.Caps{},
 		New:          newSeamEngine,
 		LedgerStages: ledgerStages,
 	})

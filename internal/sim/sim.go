@@ -141,13 +141,6 @@ func Run(spec Spec) (Metrics, error) {
 	if engine == "" {
 		engine = oram.PathEngine
 	}
-	info, ok := oram.LookupEngine(engine)
-	if !ok {
-		return Metrics{}, fmt.Errorf("sim: unknown engine %q (known engines: %v)", engine, oram.Engines())
-	}
-	if spec.CPU.Cores > 1 && !info.Caps.Cores {
-		return Metrics{}, fmt.Errorf("sim: engine %q does not compose with the multi-core front end", engine)
-	}
 	var pol *core.Policy
 	var dup oram.DupPolicy // typed nil must stay interface nil
 	if spec.Policy != nil {
