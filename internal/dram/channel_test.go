@@ -2,8 +2,8 @@ package dram
 
 import "testing"
 
-// TestChannelOfMatchesInterleaving checks the public channel query against
-// the documented rowIdx-mod-channels interleaving.
+// TestChannelOfMatchesInterleaving checks the channel Locate resolves
+// against the documented rowIdx-mod-channels interleaving.
 func TestChannelOfMatchesInterleaving(t *testing.T) {
 	cfg := DDR3_1333()
 	cfg.Channels = 4
@@ -14,12 +14,12 @@ func TestChannelOfMatchesInterleaving(t *testing.T) {
 	for row := 0; row < 64; row++ {
 		addr := uint64(row) * uint64(cfg.RowBytes)
 		want := row % cfg.Channels
-		if got := m.ChannelOf(addr); got != want {
-			t.Fatalf("ChannelOf(row %d) = %d, want %d", row, got, want)
+		if got := m.Locate(addr).Ch; int(got) != want {
+			t.Fatalf("Locate(row %d).Ch = %d, want %d", row, got, want)
 		}
 		// Offsets within a row stay on the row's channel.
-		if got := m.ChannelOf(addr + uint64(cfg.RowBytes) - 1); got != want {
-			t.Fatalf("ChannelOf(end of row %d) = %d, want %d", row, got, want)
+		if got := m.Locate(addr + uint64(cfg.RowBytes) - 1).Ch; int(got) != want {
+			t.Fatalf("Locate(end of row %d).Ch = %d, want %d", row, got, want)
 		}
 	}
 }
@@ -60,28 +60,28 @@ func TestChannelBusyAndBacklog(t *testing.T) {
 // ORAM engine's channel mode rests on: issuing one sub-batch per channel at
 // a common cycle reserves exactly the same per-block completion times as
 // issuing the whole interleaved batch at once, because channels share no
-// banks and no bus and each sub-batch preserves its addresses' order.
+// banks and no bus and each sub-batch preserves its locations' order.
 func TestChannelSubBatchesMatchInterleavedBatch(t *testing.T) {
 	cfg := DDR3_1333()
 	cfg.Channels = 4
 	whole := MustNew(cfg)
 	split := MustNew(cfg)
 
-	var addrs []uint64
+	var locs []Loc
 	for i := 0; i < 40; i++ {
-		addrs = append(addrs, uint64(i*3%13)*uint64(cfg.RowBytes)+uint64(i%5)*64)
+		locs = append(locs, whole.Locate(uint64(i*3%13)*uint64(cfg.RowBytes)+uint64(i%5)*64))
 	}
-	wholeDone := make([]int64, len(addrs))
-	wholeEnd := whole.ReadBatch(100, addrs, wholeDone)
+	wholeDone := make([]int64, len(locs))
+	wholeEnd := whole.ReserveBatch(100, OpRead, locs, wholeDone)
 
-	splitDone := make([]int64, len(addrs))
+	splitDone := make([]int64, len(locs))
 	var splitEnd int64
-	for ch := 0; ch < cfg.Channels; ch++ {
-		var sub []uint64
+	for ch := int32(0); ch < int32(cfg.Channels); ch++ {
+		var sub []Loc
 		var idx []int
-		for i, a := range addrs {
-			if split.ChannelOf(a) == ch {
-				sub = append(sub, a)
+		for i, l := range locs {
+			if l.Ch == ch {
+				sub = append(sub, l)
 				idx = append(idx, i)
 			}
 		}
@@ -89,7 +89,7 @@ func TestChannelSubBatchesMatchInterleavedBatch(t *testing.T) {
 			continue
 		}
 		done := make([]int64, len(sub))
-		end := split.ReadBatch(100, sub, done)
+		end := split.ReserveBatch(100, OpRead, sub, done)
 		for j, i := range idx {
 			splitDone[i] = done[j]
 		}
@@ -101,7 +101,7 @@ func TestChannelSubBatchesMatchInterleavedBatch(t *testing.T) {
 	if splitEnd != wholeEnd {
 		t.Fatalf("batch end: split %d, whole %d", splitEnd, wholeEnd)
 	}
-	for i := range addrs {
+	for i := range locs {
 		if splitDone[i] != wholeDone[i] {
 			t.Fatalf("block %d: split done %d, whole done %d", i, splitDone[i], wholeDone[i])
 		}

@@ -143,14 +143,6 @@ func (m *Memory) Backlog(now int64) int64 {
 // NumChannels returns the number of independent channels.
 func (m *Memory) NumChannels() int { return m.cfg.Channels }
 
-// ChannelOf returns the index of the channel owning addr, as decided by the
-// address interleaving. Tree layouts use it to split a path's blocks into
-// per-channel sub-batches.
-func (m *Memory) ChannelOf(addr uint64) int {
-	ch, _, _ := m.mapAddr(addr)
-	return ch
-}
-
 // ChannelBacklog reports the remaining reserved data-bus work of one
 // channel at cycle now (the per-channel variant of Backlog).
 func (m *Memory) ChannelBacklog(ch int, now int64) int64 {
@@ -197,28 +189,71 @@ func (m *Memory) Ledger() []ChannelLedger {
 	return out
 }
 
-// mapAddr decomposes a physical byte address. Rows are interleaved across
-// channels first and banks second, so that consecutive subtrees of the ORAM
-// layout land on different channels/banks and a path access enjoys
-// bank-level parallelism.
-func (m *Memory) mapAddr(addr uint64) (ch, bk int, row int64) {
-	rowIdx := addr / uint64(m.cfg.RowBytes)
-	ch = int(rowIdx % uint64(m.cfg.Channels))
-	rest := rowIdx / uint64(m.cfg.Channels)
-	bk = int(rest % uint64(m.cfg.BanksPerChannel))
-	row = int64(rest / uint64(m.cfg.BanksPerChannel))
-	return ch, bk, row
+// Loc is a resolved DRAM location: the channel, bank and row a physical
+// byte address maps to. The request path resolves each slot of a path once,
+// when it stages the path, and hands the Locs to every timing call; the
+// timing model is a pure function of the sequence of Locs it reserves, so
+// a location never needs resolving twice.
+type Loc struct {
+	Ch   int32
+	Bank int32
+	Row  int64
 }
 
-// Access models one block transfer beginning no earlier than now and
-// returns its completion cycle. transferOnBus=false models operations whose
-// data never crosses the processor bus (used by the XOR-compression
+// Locate resolves a physical byte address. Rows are interleaved across
+// channels first and banks second, so that consecutive subtrees of the
+// ORAM layout land on different channels/banks and a path access enjoys
+// bank-level parallelism.
+func (m *Memory) Locate(addr uint64) Loc {
+	return m.locateRow(addr / uint64(m.cfg.RowBytes))
+}
+
+// LocateRun appends to dst the locations of n blocks spaced step bytes
+// apart starting at addr — one bucket's slots — and returns the extended
+// slice. Each DRAM row the run touches is resolved once; the result is
+// exactly Locate applied to every block address.
+func (m *Memory) LocateRun(dst []Loc, addr uint64, n int, step uint64) []Loc {
+	rowBytes := uint64(m.cfg.RowBytes)
+	rowIdx, off := addr/rowBytes, addr%rowBytes
+	l := m.locateRow(rowIdx)
+	for i := 0; i < n; i++ {
+		if off >= rowBytes {
+			rowIdx += off / rowBytes
+			off %= rowBytes
+			l = m.locateRow(rowIdx)
+		}
+		dst = append(dst, l)
+		off += step
+	}
+	return dst
+}
+
+// locateRow resolves a global row index (a byte address divided by the
+// row size) under the channel-then-bank interleaving.
+func (m *Memory) locateRow(rowIdx uint64) Loc {
+	rest := rowIdx / uint64(m.cfg.Channels)
+	return Loc{
+		Ch:   int32(rowIdx % uint64(m.cfg.Channels)),
+		Bank: int32(rest % uint64(m.cfg.BanksPerChannel)),
+		Row:  int64(rest / uint64(m.cfg.BanksPerChannel)),
+	}
+}
+
+// Access models one block transfer to addr beginning no earlier than now
+// and returns its completion cycle. transferOnBus=false models operations
+// whose data never crosses the processor bus (used by the XOR-compression
 // comparator, where the DRAM-internal reads still happen but only the XOR
-// result is shipped).
+// result is shipped). It is Locate followed by the access; callers that
+// stage batches resolve their Locs once and use ReserveBatch.
 func (m *Memory) Access(now int64, addr uint64, write, transferOnBus bool) int64 {
-	ch, bk, row := m.mapAddr(addr)
-	c := &m.channels[ch]
-	b := &c.banks[bk]
+	return m.access(now, m.Locate(addr), write, transferOnBus)
+}
+
+// access models one block transfer to the resolved location l.
+func (m *Memory) access(now int64, l Loc, write, transferOnBus bool) int64 {
+	c := &m.channels[l.Ch]
+	b := &c.banks[l.Bank]
+	row := l.Row
 
 	t := max64(now, b.readyAt)
 	if b.readyAt > now {
@@ -293,39 +328,31 @@ const (
 	OpReadOffBus
 )
 
-// checkBatch validates the done slice against addrs. A mismatched caller
-// is a programming error (the batch would silently truncate or index out
-// of range), so it fails loudly rather than returning a value.
-func checkBatch(op string, addrs []uint64, done []int64) {
-	if done != nil && len(done) != len(addrs) {
-		panic(fmt.Sprintf("dram: %s: done has %d slots for %d addresses", op, len(done), len(addrs)))
-	}
-}
-
-// ReserveBatch reserves bank, row and bus timing for one access per addr,
-// in order, none beginning before now. When done is non-nil it must be
-// len(addrs) long and receives each access's completion cycle. The return
-// value is the completion cycle of the whole batch (for OpReadOffBus,
-// including the single burst that ships the XOR result).
+// ReserveBatch reserves bank, row and bus timing for one access per
+// location, in order, none beginning before now. When done is non-nil it
+// must be len(locs) long and receives each access's completion cycle. The
+// return value is the completion cycle of the whole batch (for
+// OpReadOffBus, including the single burst that ships the XOR result).
 //
-// ReserveBatch is the arbitration primitive of the pipelined ORAM engine:
-// combined with the earliest-start queries (BankFreeAt, EarliestBatchStart)
-// it lets a controller issue a path read as soon as the first needed bank
+// ReserveBatch is the one batch primitive: an ORAM path read is an OpRead
+// batch whose per-block completion times are exactly what shadow blocks
+// exploit, a path write is an OpWrite batch, and XOR compression's reads
+// are an OpReadOffBus batch, whose DRAM-internal reads skip the processor
+// bus and ship one XOR-ed block at the end. Combined with the
+// earliest-start queries (BankFreeAt, EarliestBatchStart) it lets a
+// pipelined controller issue a path read as soon as the first needed bank
 // frees, while the bank and bus state it reserves makes any access that
 // does conflict with still-draining work wait exactly as long as it must.
-func (m *Memory) ReserveBatch(now int64, op Op, addrs []uint64, done []int64) int64 {
-	checkBatch("ReserveBatch", addrs, done)
+func (m *Memory) ReserveBatch(now int64, op Op, locs []Loc, done []int64) int64 {
+	// A mismatched done slice is a programming error (the batch would
+	// silently truncate or index out of range), so it fails loudly.
+	if done != nil && len(done) != len(locs) {
+		panic(fmt.Sprintf("dram: ReserveBatch: done has %d slots for %d locations", len(done), len(locs)))
+	}
+	write, onBus := op == OpWrite, op != OpReadOffBus
 	var finish int64
-	for i, a := range addrs {
-		var d int64
-		switch op {
-		case OpWrite:
-			d = m.Access(now, a, true, true)
-		case OpReadOffBus:
-			d = m.Access(now, a, false, false)
-		default:
-			d = m.Access(now, a, false, true)
-		}
+	for i, l := range locs {
+		d := m.access(now, l, write, onBus)
 		if done != nil {
 			done[i] = d
 		}
@@ -339,34 +366,19 @@ func (m *Memory) ReserveBatch(now int64, op Op, addrs []uint64, done []int64) in
 	return finish
 }
 
-// BankFreeAt returns the earliest cycle at which the bank owning addr can
-// accept a new column command, given every access reserved so far. The row
-// state may still force a precharge/activate after that point; this is the
+// BankFreeAt returns the earliest cycle at which the bank at l can accept
+// a new column command, given every access reserved so far. The row state
+// may still force a precharge/activate after that point; this is the
 // issue-time query, not a completion estimate.
-func (m *Memory) BankFreeAt(addr uint64) int64 {
-	ch, bk, _ := m.mapAddr(addr)
-	return m.channels[ch].banks[bk].readyAt
-}
-
-// BusFreeAt returns the earliest cycle at which addr's channel data bus is
-// free of already-reserved transfers.
-func (m *Memory) BusFreeAt(addr uint64) int64 {
-	ch, _, _ := m.mapAddr(addr)
-	return m.channels[ch].busFreeAt
-}
-
-// NextIdleWindow returns the earliest cycle >= from at which the bank
-// owning addr could begin dur cycles of new work without waiting on any
-// access reserved so far. Reservations are prefix-ordered — the model only
-// ever extends bank state forward — so once the bank's last reserved
-// column command has retired the bank is idle indefinitely and the window
-// is simply max(from, readyAt); dur sizes the window for the caller's
-// fit checks (a window that opens at t holds dur cycles of work ending at
-// t+dur). The decoupled writeback scheduler uses this query to slot
-// queued eviction writes into bank idle time between path reads.
-func (m *Memory) NextIdleWindow(addr uint64, from, dur int64) int64 {
-	_ = dur // windows never close in a monotonic reservation model
-	return max64(from, m.BankFreeAt(addr))
+//
+// Reservations are prefix-ordered — the model only ever extends bank state
+// forward — so once the bank's last reserved column command has retired
+// the bank is idle indefinitely: max(from, BankFreeAt(l)) is the earliest
+// idle window opening at or after from, which is how the decoupled
+// writeback scheduler slots queued eviction writes into bank idle time
+// between path reads.
+func (m *Memory) BankFreeAt(l Loc) int64 {
+	return m.channels[l.Ch].banks[l.Bank].readyAt
 }
 
 // AccessSpan conservatively bounds the duration of n back-to-back accesses
@@ -384,48 +396,23 @@ func (m *Memory) AccessSpan(n int) int64 {
 		int64(n)*per + m.cfg.TCL + m.cfg.TBURST
 }
 
-// EarliestBatchStart returns the earliest cycle at which a batch over addrs
-// could usefully issue its first command: the minimum over addrs of the
+// EarliestBatchStart returns the earliest cycle at which a batch over locs
+// could usefully issue its first command: the minimum over locs of the
 // owning bank's ready time. Issuing earlier would only queue behind every
 // involved bank; issuing at this cycle overlaps the batch with whatever
 // work is still draining on the other banks. An empty batch may start
 // anywhere (returns 0).
-func (m *Memory) EarliestBatchStart(addrs []uint64) int64 {
-	if len(addrs) == 0 {
+func (m *Memory) EarliestBatchStart(locs []Loc) int64 {
+	if len(locs) == 0 {
 		return 0
 	}
-	earliest := m.BankFreeAt(addrs[0])
-	for _, a := range addrs[1:] {
-		if t := m.BankFreeAt(a); t < earliest {
+	earliest := m.BankFreeAt(locs[0])
+	for _, l := range locs[1:] {
+		if t := m.BankFreeAt(l); t < earliest {
 			earliest = t
 		}
 	}
 	return earliest
-}
-
-// ReadBatch issues reads for addrs in order starting at now, filling done
-// (which must be len(addrs)) with per-block completion cycles, and returns
-// the completion of the whole batch. This is the shape of an ORAM path
-// read: the per-block completion times are exactly what shadow blocks
-// exploit.
-func (m *Memory) ReadBatch(now int64, addrs []uint64, done []int64) int64 {
-	checkBatch("ReadBatch", addrs, done)
-	return m.ReserveBatch(now, OpRead, addrs, done)
-}
-
-// ReadBatchOffBus is ReadBatch for XOR compression: the DRAM-internal
-// reads happen but only one XOR-ed block crosses the processor bus at the
-// end, so per-block transfers skip the bus and the result ships in a
-// single burst.
-func (m *Memory) ReadBatchOffBus(now int64, addrs []uint64, done []int64) int64 {
-	checkBatch("ReadBatchOffBus", addrs, done)
-	return m.ReserveBatch(now, OpReadOffBus, addrs, done)
-}
-
-// WriteBatch issues writes for addrs in order starting at now and returns
-// the completion cycle of the last one.
-func (m *Memory) WriteBatch(now int64, addrs []uint64) int64 {
-	return m.ReserveBatch(now, OpWrite, addrs, nil)
 }
 
 func max64(a, b int64) int64 {

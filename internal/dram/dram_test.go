@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -111,7 +113,7 @@ func TestReadBatchPerBlockTimes(t *testing.T) {
 	m := MustNew(cfg)
 	addrs := []uint64{0, 64, 128, uint64(cfg.RowBytes)}
 	done := make([]int64, len(addrs))
-	finish := m.ReadBatch(100, addrs, done)
+	finish := m.ReserveBatch(100, OpRead, locate(m, addrs...), done)
 	var maxDone int64
 	for i, d := range done {
 		if d <= 100 {
@@ -128,7 +130,7 @@ func TestReadBatchPerBlockTimes(t *testing.T) {
 
 func TestWriteBatch(t *testing.T) {
 	m := MustNew(DDR3_1333())
-	finish := m.WriteBatch(0, []uint64{0, 64, 128})
+	finish := m.ReserveBatch(0, OpWrite, locate(m, 0, 64, 128), nil)
 	if finish <= 0 {
 		t.Fatalf("write batch finish = %d", finish)
 	}
@@ -153,14 +155,14 @@ func TestAccessMonotonicInNow(t *testing.T) {
 	}
 }
 
-func TestMapAddrCoversAllBanks(t *testing.T) {
+func TestLocateCoversAllBanks(t *testing.T) {
 	cfg := DDR3_1333()
 	m := MustNew(cfg)
-	type cb struct{ c, b int }
+	type cb struct{ c, b int32 }
 	seen := make(map[cb]bool)
 	for r := 0; r < cfg.Channels*cfg.BanksPerChannel; r++ {
-		ch, bk, _ := m.mapAddr(uint64(r * cfg.RowBytes))
-		seen[cb{ch, bk}] = true
+		l := m.Locate(uint64(r * cfg.RowBytes))
+		seen[cb{l.Ch, l.Bank}] = true
 	}
 	if len(seen) != cfg.Channels*cfg.BanksPerChannel {
 		t.Fatalf("consecutive rows cover %d bank slots, want %d", len(seen), cfg.Channels*cfg.BanksPerChannel)
@@ -170,15 +172,15 @@ func TestMapAddrCoversAllBanks(t *testing.T) {
 func BenchmarkPathRead(b *testing.B) {
 	cfg := DDR3_1333()
 	m := MustNew(cfg)
-	addrs := make([]uint64, 95) // Z=5 x 19 levels
-	for i := range addrs {
-		addrs[i] = uint64(i) * 64 * 131
+	locs := make([]Loc, 95) // Z=5 x 19 levels
+	for i := range locs {
+		locs[i] = m.Locate(uint64(i) * 64 * 131)
 	}
-	done := make([]int64, len(addrs))
+	done := make([]int64, len(locs))
 	now := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		now = m.ReadBatch(now, addrs, done)
+		now = m.ReserveBatch(now, OpRead, locs, done)
 	}
 }
 
@@ -198,49 +200,65 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 
 func TestBatchLengthValidation(t *testing.T) {
 	m := MustNew(DDR3_1333())
-	addrs := []uint64{0, 64, 128}
-	short := make([]int64, 2)
-	for name, fn := range map[string]func(){
-		"ReadBatch":       func() { m.ReadBatch(0, addrs, short) },
-		"ReadBatchOffBus": func() { m.ReadBatchOffBus(0, addrs, short) },
-		"ReserveBatch":    func() { m.ReserveBatch(0, OpRead, addrs, short) },
-	} {
+	locs := locate(m, 0, 64, 128)
+	for _, op := range []Op{OpRead, OpWrite, OpReadOffBus} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: short done slice accepted", name)
+					t.Errorf("op %d: short done slice accepted", op)
 				}
 			}()
-			fn()
+			m.ReserveBatch(0, op, locs, make([]int64, 2))
 		}()
 	}
 }
 
-func TestReserveBatchMatchesLegacyBatches(t *testing.T) {
-	cfg := DDR3_1333()
-	addrs := []uint64{0, 8192, 16384, 24576, 64}
-	for op, legacy := range map[Op]func(m *Memory, done []int64) int64{
-		OpRead:       func(m *Memory, done []int64) int64 { return m.ReadBatch(7, addrs, done) },
-		OpWrite:      func(m *Memory, done []int64) int64 { return m.WriteBatch(7, addrs) },
-		OpReadOffBus: func(m *Memory, done []int64) int64 { return m.ReadBatchOffBus(7, addrs, done) },
-	} {
-		a, b := MustNew(cfg), MustNew(cfg)
-		doneA := make([]int64, len(addrs))
-		doneB := make([]int64, len(addrs))
-		endA := legacy(a, doneA)
-		endB := b.ReserveBatch(7, op, addrs, doneB)
-		if endA != endB {
-			t.Fatalf("op %d: legacy end %d, ReserveBatch end %d", op, endA, endB)
-		}
-		if op != OpWrite {
-			for i := range doneA {
-				if doneA[i] != doneB[i] {
-					t.Fatalf("op %d: done[%d] %d vs %d", op, i, doneA[i], doneB[i])
-				}
+// TestReserveBatchMatchesAccess pins the batch API to the address entry
+// point: resolving a random address sequence with Locate and reserving it
+// as batches of every op gives the same completion cycles, Stats and
+// Ledger as calling Access per address — including on channel and bank
+// counts that are not powers of two, where Locate's divisions do not
+// reduce to shifts.
+func TestReserveBatchMatchesAccess(t *testing.T) {
+	shapes := []struct{ channels, banks, rowBytes int }{
+		{2, 8, 8192}, {3, 8, 8192}, {4, 5, 8192}, {3, 7, 2048}, {1, 1, 8192},
+	}
+	for _, sh := range shapes {
+		cfg := DDR3_1333()
+		cfg.Channels, cfg.BanksPerChannel, cfg.RowBytes = sh.channels, sh.banks, sh.rowBytes
+		byAddr, byLoc := MustNew(cfg), MustNew(cfg)
+		x := rand.New(rand.NewSource(int64(sh.channels*100 + sh.banks)))
+		span := uint64(cfg.RowBytes * cfg.Channels * cfg.BanksPerChannel * 6)
+		now := int64(0)
+		for batch := 0; batch < 300; batch++ {
+			op := Op(x.Intn(3))
+			addrs := make([]uint64, 1+x.Intn(24))
+			for i := range addrs {
+				addrs[i] = uint64(x.Int63n(int64(span))) &^ 63
 			}
+			want := make([]int64, len(addrs))
+			var wantEnd int64
+			for i, a := range addrs {
+				want[i] = byAddr.Access(now, a, op == OpWrite, op != OpReadOffBus)
+				wantEnd = max64(wantEnd, want[i])
+			}
+			if op == OpReadOffBus {
+				wantEnd += cfg.TBURST
+			}
+			got := make([]int64, len(addrs))
+			if end := byLoc.ReserveBatch(now, op, locate(byLoc, addrs...), got); end != wantEnd {
+				t.Fatalf("%+v batch %d op %d: ReserveBatch end %d, Access end %d", sh, batch, op, end, wantEnd)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v batch %d op %d: done %v, Access %v", sh, batch, op, got, want)
+			}
+			now += int64(x.Intn(400))
 		}
-		if a.Stats() != b.Stats() {
-			t.Fatalf("op %d: stats diverge: %+v vs %+v", op, a.Stats(), b.Stats())
+		if byAddr.Stats() != byLoc.Stats() {
+			t.Fatalf("%+v: stats diverge: Access %+v, ReserveBatch %+v", sh, byAddr.Stats(), byLoc.Stats())
+		}
+		if !reflect.DeepEqual(byAddr.Ledger(), byLoc.Ledger()) {
+			t.Fatalf("%+v: ledgers diverge", sh)
 		}
 	}
 }
@@ -251,25 +269,23 @@ func TestEarliestStartQueries(t *testing.T) {
 	if got := m.EarliestBatchStart(nil); got != 0 {
 		t.Fatalf("empty batch earliest start = %d, want 0", got)
 	}
-	// Occupy bank (ch0, bk0) with a read; its readyAt moves, the bus too.
+	// Occupy bank (ch0, bk0) with a read; its readyAt moves.
 	m.Read(0, 0)
-	if m.BankFreeAt(0) <= 0 {
+	bank0 := m.Locate(0)
+	if m.BankFreeAt(bank0) <= 0 {
 		t.Fatal("accessed bank still reports free at 0")
-	}
-	if m.BusFreeAt(0) <= 0 {
-		t.Fatal("used channel bus still reports free at 0")
 	}
 	// An address on an untouched bank is free immediately, so a batch
 	// containing it can start at once even though bank 0 is reserved.
-	untouched := uint64(cfg.RowBytes * cfg.Channels) // ch0, bank1
+	untouched := m.Locate(uint64(cfg.RowBytes * cfg.Channels)) // ch0, bank1
 	if m.BankFreeAt(untouched) != 0 {
 		t.Fatal("untouched bank not free")
 	}
-	if got := m.EarliestBatchStart([]uint64{0, untouched}); got != 0 {
+	if got := m.EarliestBatchStart([]Loc{bank0, untouched}); got != 0 {
 		t.Fatalf("batch with a free bank reports earliest start %d, want 0", got)
 	}
-	if got := m.EarliestBatchStart([]uint64{0}); got != m.BankFreeAt(0) {
-		t.Fatalf("single-bank batch earliest start %d, want bank ready %d", got, m.BankFreeAt(0))
+	if got := m.EarliestBatchStart([]Loc{bank0}); got != m.BankFreeAt(bank0) {
+		t.Fatalf("single-bank batch earliest start %d, want bank ready %d", got, m.BankFreeAt(bank0))
 	}
 }
 
@@ -339,11 +355,48 @@ func TestLedgerPureObservation(t *testing.T) {
 func TestLedgerOffBusReadsSkipBus(t *testing.T) {
 	m := MustNew(DDR3_1333())
 	done := make([]int64, 2)
-	m.ReadBatchOffBus(0, []uint64{0, 64}, done)
+	m.ReserveBatch(0, OpReadOffBus, locate(m, 0, 64), done)
 	led := m.Ledger()
 	for ch := range led {
 		if led[ch].BusBusy != 0 || led[ch].BusStall != 0 {
 			t.Fatalf("off-bus reads reserved bus cycles on channel %d: %+v", ch, led[ch])
 		}
 	}
+}
+
+// TestLocateRunMatchesLocate pins the run resolver to Locate per block,
+// for runs that stay inside one row and runs that straddle several (a
+// step or a run longer than the row), on power-of-two and other shapes.
+func TestLocateRunMatchesLocate(t *testing.T) {
+	x := rand.New(rand.NewSource(5))
+	for _, sh := range []struct{ channels, banks, rowBytes int }{{2, 8, 8192}, {3, 5, 1000}, {4, 7, 2048}} {
+		cfg := DDR3_1333()
+		cfg.Channels, cfg.BanksPerChannel, cfg.RowBytes = sh.channels, sh.banks, sh.rowBytes
+		m := MustNew(cfg)
+		for trial := 0; trial < 2000; trial++ {
+			addr := uint64(x.Int63n(1 << 32))
+			n := x.Intn(20)
+			step := uint64(x.Intn(3 * sh.rowBytes))
+			prefix := []Loc{{Ch: -1}}
+			got := m.LocateRun(prefix, addr, n, step)
+			if len(got) != n+1 || got[0] != prefix[0] {
+				t.Fatalf("%+v: LocateRun returned %d locations (want %d after the kept prefix)", sh, len(got), n+1)
+			}
+			for i := 0; i < n; i++ {
+				a := addr + uint64(i)*step
+				if want := m.Locate(a); got[i+1] != want {
+					t.Fatalf("%+v: run from %d step %d, block %d: %+v, Locate %+v", sh, addr, step, i, got[i+1], want)
+				}
+			}
+		}
+	}
+}
+
+// locate resolves addrs on m, as a caller staging a batch does.
+func locate(m *Memory, addrs ...uint64) []Loc {
+	locs := make([]Loc, len(addrs))
+	for i, a := range addrs {
+		locs[i] = m.Locate(a)
+	}
+	return locs
 }

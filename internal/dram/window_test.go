@@ -2,32 +2,34 @@ package dram
 
 import "testing"
 
-// TestNextIdleWindowTracksBankState pins the scheduler query: a fresh bank
-// is idle immediately (window = from), a bank with reserved work opens its
-// window exactly when its last column command retires, and the query never
-// mutates state.
+// TestNextIdleWindowTracksBankState pins the scheduler's idle-window
+// query, max(from, BankFreeAt): a fresh bank is idle immediately (window =
+// from), a bank with reserved work opens its window exactly when its last
+// column command retires, and the query never mutates state.
 func TestNextIdleWindowTracksBankState(t *testing.T) {
 	cfg := DDR3_1333()
 	m := MustNew(cfg)
+	bank0 := m.Locate(0)
+	window := func(l Loc, from int64) int64 { return max64(from, m.BankFreeAt(l)) }
 
-	if got := m.NextIdleWindow(0, 500, 100); got != 500 {
+	if got := window(bank0, 500); got != 500 {
 		t.Fatalf("fresh bank window = %d, want from = 500", got)
 	}
 
 	m.Read(0, 0)
-	free := m.BankFreeAt(0)
+	free := m.BankFreeAt(bank0)
 	if free <= 0 {
 		t.Fatalf("BankFreeAt = %d after a read", free)
 	}
-	if got := m.NextIdleWindow(0, 0, 100); got != free {
+	if got := window(bank0, 0); got != free {
 		t.Fatalf("busy bank window = %d, want BankFreeAt = %d", got, free)
 	}
 	// Asking from a cycle past the bank's backlog returns that cycle.
-	if got := m.NextIdleWindow(0, free+777, 100); got != free+777 {
+	if got := window(bank0, free+777); got != free+777 {
 		t.Fatalf("late query window = %d, want from = %d", got, free+777)
 	}
 	// The query is pure: repeating it changes nothing.
-	if again := m.NextIdleWindow(0, 0, 100); again != free {
+	if again := window(bank0, 0); again != free {
 		t.Fatalf("repeated query diverged: %d then %d", free, again)
 	}
 	st := m.Stats()
@@ -36,8 +38,8 @@ func TestNextIdleWindowTracksBankState(t *testing.T) {
 	}
 
 	// A different bank of the same channel is unaffected by bank 0's work.
-	otherBank := uint64(cfg.RowBytes * cfg.Channels)
-	if got := m.NextIdleWindow(otherBank, 0, 100); got != 0 {
+	otherBank := m.Locate(uint64(cfg.RowBytes * cfg.Channels))
+	if got := window(otherBank, 0); got != 0 {
 		t.Fatalf("idle sibling bank window = %d, want 0", got)
 	}
 }
@@ -61,12 +63,12 @@ func TestAccessSpanBoundsReservedWork(t *testing.T) {
 		// activate before the batch's column commands can start).
 		w := MustNew(cfg)
 		w.Write(0, 0)
-		start := w.BankFreeAt(0)
-		addrs := make([]uint64, n)
-		for i := range addrs {
-			addrs[i] = rowStride + uint64(i*64) // one row, not the open one
+		start := w.BankFreeAt(w.Locate(0))
+		locs := make([]Loc, n)
+		for i := range locs {
+			locs[i] = w.Locate(rowStride + uint64(i*64)) // one row, not the open one
 		}
-		end := w.ReserveBatch(start, OpWrite, addrs, nil)
+		end := w.ReserveBatch(start, OpWrite, locs, nil)
 		if end-start > span {
 			t.Fatalf("n=%d: batch reserved %d cycles, AccessSpan bound %d", n, end-start, span)
 		}

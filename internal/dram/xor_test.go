@@ -11,8 +11,9 @@ func TestReadBatchOffBusFasterAcrossBanks(t *testing.T) {
 		addrs = append(addrs, uint64(i*cfg.RowBytes*cfg.Channels))
 	}
 	done := make([]int64, len(addrs))
-	on := MustNew(cfg).ReadBatch(0, addrs, done)
-	off := MustNew(cfg).ReadBatchOffBus(0, addrs, done)
+	onBus, offBus := MustNew(cfg), MustNew(cfg)
+	on := onBus.ReserveBatch(0, OpRead, locate(onBus, addrs...), done)
+	off := offBus.ReserveBatch(0, OpReadOffBus, locate(offBus, addrs...), done)
 	if off >= on {
 		t.Fatalf("off-bus batch (%d) not faster than on-bus (%d)", off, on)
 	}
@@ -21,9 +22,8 @@ func TestReadBatchOffBusFasterAcrossBanks(t *testing.T) {
 func TestReadBatchOffBusShipsOneBurst(t *testing.T) {
 	cfg := DDR3_1333()
 	m := MustNew(cfg)
-	addrs := []uint64{0}
 	done := make([]int64, 1)
-	fin := m.ReadBatchOffBus(0, addrs, done)
+	fin := m.ReserveBatch(0, OpReadOffBus, locate(m, 0), done)
 	if fin != done[0]+cfg.TBURST {
 		t.Fatalf("finish %d != last block %d + one burst %d", fin, done[0], cfg.TBURST)
 	}

@@ -161,7 +161,7 @@ type Controller struct {
 	// models serial hardware).
 	pathBuf    []int
 	chainBuf   []uint32
-	addrBuf    []uint64
+	locBuf     []dram.Loc // the staged path's resolved slot locations
 	doneBuf    []int64
 	arrivalBuf []int64
 	poolsBuf   [][]uint32
@@ -170,7 +170,7 @@ type Controller struct {
 	// Channel-mode state (cfg.Channels > 0): per-channel sub-batch staging
 	// and precomputed span/series names, so the hot path never formats
 	// strings or allocates.
-	chanAddrs     [][]uint64
+	chanLocs      [][]dram.Loc
 	chanIdx       [][]int
 	chanDone      []int64
 	chanSpanRead  []string
@@ -247,7 +247,7 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		dummyRNG:   rng.NewXoshiro(cfg.Seed*0x85ebca6b + 2),
 		pathBuf:    make([]int, geo.Levels()),
 		chainBuf:   make([]uint32, 0, 8),
-		addrBuf:    make([]uint64, 0, geo.PathLen()),
+		locBuf:     make([]dram.Loc, 0, geo.PathLen()),
 		doneBuf:    make([]int64, geo.PathLen()),
 		arrivalBuf: make([]int64, geo.PathLen()),
 		poolsBuf:   make([][]uint32, geo.Levels()),
@@ -255,13 +255,13 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		emaAccess:  1,
 	}
 	if cfg.Channels > 0 {
-		c.chanAddrs = make([][]uint64, cfg.Channels)
+		c.chanLocs = make([][]dram.Loc, cfg.Channels)
 		c.chanIdx = make([][]int, cfg.Channels)
 		c.chanSpanRead = make([]string, cfg.Channels)
 		c.chanSpanWrite = make([]string, cfg.Channels)
 		c.chanSeries = make([]string, cfg.Channels)
 		for ch := 0; ch < cfg.Channels; ch++ {
-			c.chanAddrs[ch] = make([]uint64, 0, geo.PathLen())
+			c.chanLocs[ch] = make([]dram.Loc, 0, geo.PathLen())
 			c.chanIdx[ch] = make([]int, 0, geo.PathLen())
 			c.chanSpanRead[ch] = fmt.Sprintf("path.read.c%d", ch)
 			c.chanSpanWrite[ch] = fmt.Sprintf("path.write.c%d", ch)

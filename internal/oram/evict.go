@@ -76,7 +76,6 @@ func (c *Controller) pathWrite(start int64, leaf uint32) int64 {
 	c.policy.BeginPathWrite(leaf)
 	path := c.geo.Path(leaf, c.pathBuf)
 	z := c.geo.Z
-	top := c.cfg.TreetopLevels
 
 	// Bucket the stash's real blocks by how deep they may go on this path.
 	pools := c.poolsBuf
@@ -135,17 +134,9 @@ func (c *Controller) pathWrite(start int64, leaf uint32) int64 {
 	}
 
 	// Write back every off-chip slot.
-	c.addrBuf = c.addrBuf[:0]
-	for lv, bucket := range path {
-		if lv < top {
-			continue
-		}
-		for s := 0; s < z; s++ {
-			c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(bucket, s))
-		}
-	}
+	c.stagePath(path)
 	end := start + 1
-	if len(c.addrBuf) > 0 {
+	if len(c.locBuf) > 0 {
 		end = c.dispatchWrite(start)
 	}
 	c.policy.EndPathWrite()

@@ -5,7 +5,7 @@ import (
 	"shadowblock/internal/metrics"
 )
 
-// Path-read stage: stage the off-chip slot addresses of one path, decide
+// Path-read stage: stage the off-chip slot locations of one path, decide
 // when the batch may enter the memory system (readIssue binding: serial
 // waits for nothing, pipelined arbitrates against a draining writeback),
 // dispatch it onto DRAM (dispatchRead binding: one flat batch, or one
@@ -37,25 +37,25 @@ func (c *Controller) pathRead(start int64, leaf, intended uint32, collectAll boo
 	}
 	c.stats.ORAMAccesses++
 	path := c.geo.Path(leaf, c.pathBuf)
-	z := c.geo.Z
-	top := c.cfg.TreetopLevels
-
-	// Stage the off-chip slot addresses, root to leaf.
-	c.addrBuf = c.addrBuf[:0]
-	for lv, bucket := range path {
-		for s := 0; s < z; s++ {
-			if lv >= top {
-				c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(bucket, s))
-			}
-		}
-	}
+	c.stagePath(path)
 	end = start + 1
-	if len(c.addrBuf) > 0 {
+	if len(c.locBuf) > 0 {
 		end = c.dispatchRead(c.readIssue(start))
 	}
 
 	forward, end, res = c.collectAndForward(path, start, end, intended, collectAll)
 	return forward, end, res
+}
+
+// stagePath resolves the DRAM location of every off-chip slot of path,
+// root to leaf, into locBuf: the one place a path's addresses are turned
+// into locations. Every later stage — issue arbitration, flat or
+// per-channel dispatch, the decoupled writeback queue — works on locBuf.
+func (c *Controller) stagePath(path []int) {
+	c.locBuf = c.locBuf[:0]
+	for _, bucket := range path[c.cfg.TreetopLevels:] {
+		c.locBuf = c.mem.LocateRun(c.locBuf, c.layout.BucketAddr(bucket), c.geo.Z, uint64(c.cfg.BlockBytes))
+	}
 }
 
 // readIssueSerial lets a staged batch enter the memory system the moment
@@ -71,7 +71,7 @@ func (c *Controller) readIssueSerial(start int64) int64 { return start }
 // drain.
 func (c *Controller) readIssuePipelined(start int64) int64 {
 	issue := start
-	if free := c.mem.EarliestBatchStart(c.addrBuf); free > issue {
+	if free := c.mem.EarliestBatchStart(c.locBuf); free > issue {
 		issue = free
 	}
 	led := c.ledger()
@@ -92,7 +92,7 @@ func (c *Controller) readIssuePipelined(start int64) int64 {
 // dispatchReadFlat issues the staged batch as one interleaved DRAM batch,
 // filling doneBuf with per-slot completion cycles.
 func (c *Controller) dispatchReadFlat(issue int64) int64 {
-	return c.mem.ReserveBatch(issue, c.readOp, c.addrBuf, c.doneBuf[:len(c.addrBuf)])
+	return c.mem.ReserveBatch(issue, c.readOp, c.locBuf, c.doneBuf[:len(c.locBuf)])
 }
 
 // dispatchReadChannel issues the staged batch as one sub-batch per DRAM
@@ -103,7 +103,7 @@ func (c *Controller) dispatchReadChannel(issue int64) int64 {
 
 // dispatchWriteFlat issues the staged writeback as one interleaved batch.
 func (c *Controller) dispatchWriteFlat(start int64) int64 {
-	return c.mem.WriteBatch(start, c.addrBuf)
+	return c.mem.ReserveBatch(start, dram.OpWrite, c.locBuf, nil)
 }
 
 // dispatchWriteChannel issues the staged writeback as one sub-batch per
@@ -112,27 +112,26 @@ func (c *Controller) dispatchWriteChannel(start int64) int64 {
 	return c.channelBatch(start, dram.OpWrite, c.chanSpanWrite)
 }
 
-// channelBatch issues the access staged in addrBuf as one sub-batch per
+// channelBatch issues the access staged in locBuf as one sub-batch per
 // DRAM channel, all entering the memory system at the same cycle. Channels
 // have independent banks and buses and each sub-batch preserves the
-// root-to-leaf order of its addresses, so every per-slot completion cycle —
+// root-to-leaf order of its locations, so every per-slot completion cycle —
 // scattered back into doneBuf for reads — is identical to issuing the whole
 // interleaved batch at once; what the split buys is that the layout has
 // already spread the path's rows evenly, so the sub-batches genuinely run
 // in parallel. Returns the completion cycle of the slowest channel.
 func (c *Controller) channelBatch(issue int64, op dram.Op, spans []string) int64 {
-	for ch := range c.chanAddrs {
-		c.chanAddrs[ch] = c.chanAddrs[ch][:0]
+	for ch := range c.chanLocs {
+		c.chanLocs[ch] = c.chanLocs[ch][:0]
 		c.chanIdx[ch] = c.chanIdx[ch][:0]
 	}
-	for i, a := range c.addrBuf {
-		ch := c.mem.ChannelOf(a)
-		c.chanAddrs[ch] = append(c.chanAddrs[ch], a)
-		c.chanIdx[ch] = append(c.chanIdx[ch], i)
+	for i, l := range c.locBuf {
+		c.chanLocs[l.Ch] = append(c.chanLocs[l.Ch], l)
+		c.chanIdx[l.Ch] = append(c.chanIdx[l.Ch], i)
 	}
 	tracing := c.mc != nil && c.mc.Trace != nil
 	var end int64
-	for ch, sub := range c.chanAddrs {
+	for ch, sub := range c.chanLocs {
 		if len(sub) == 0 {
 			continue
 		}

@@ -22,17 +22,18 @@ import (
 //     op has been deferred WBMaxDefer eviction phases (starvation bound).
 //     Forced ops reserve before the read does.
 //   - slotted: after a read has reserved its banks and bus, any queued op
-//     whose banks open an idle window (dram.NextIdleWindow) under the
+//     whose banks open an idle window (dram.BankFreeAt) under the
 //     read's shadow — or, via PumpWritebacks, inside the idle gap before
 //     the next demand read presents — retires opportunistically.
 //   - flushed: Drain retires whatever is left at end of run.
 //
 // The queue is bounded by (L+1) buckets per eviction times WBMaxDefer
-// phases, every op's addresses live in a fixed-size array, and retirement
-// compacts the queue in place: the hot path stays allocation-free.
+// phases, every op's locations live in a fixed-size array, and retirement
+// compacts the queue in place (wbRetain): the hot path stays
+// allocation-free.
 
 // maxBucketSlots bounds Z (Config.Validate caps it at 16) so one bucket's
-// slot addresses fit a fixed array and enqueueing never allocates.
+// slot locations fit a fixed array and enqueueing never allocates.
 const maxBucketSlots = 16
 
 // defaultWBMaxDefer is the starvation bound applied when cfg.WBMaxDefer
@@ -42,14 +43,15 @@ const maxBucketSlots = 16
 const defaultWBMaxDefer = 8
 
 // wbOp is one queued per-bucket write: the bucket's off-chip slot
-// addresses, the eviction phase that produced it, and the cycle its data
-// became ready (the earliest cycle the write may occupy DRAM).
+// locations (resolved when the eviction staged its path), the eviction
+// phase that produced it, and the cycle its data became ready (the
+// earliest cycle the write may occupy DRAM).
 type wbOp struct {
 	bucket int32
 	n      int32
 	seq    uint64 // evictCount at enqueue (the starvation-bound clock)
 	at     int64  // pathWrite cycle: earliest legal DRAM reservation point
-	addrs  [maxBucketSlots]uint64
+	locs   [maxBucketSlots]dram.Loc
 }
 
 // wbState is the decoupled scheduler's queue. ops is FIFO by enqueue
@@ -72,42 +74,36 @@ func (c *Controller) initWriteback() {
 }
 
 // dispatchWriteQueued is the decoupled engine's dispatchWrite binding:
-// instead of reserving the staged writeback on DRAM it splits addrBuf
-// (z addresses per off-chip level, in level order — exactly how pathWrite
+// instead of reserving the staged writeback on DRAM it splits locBuf
+// (z locations per off-chip level, in level order — exactly how stagePath
 // staged it) into one op per bucket and parks them. The datapath is done
 // the moment the refill decision is made.
 func (c *Controller) dispatchWriteQueued(start int64) int64 {
 	z := c.geo.Z
-	top := c.cfg.TreetopLevels
-	k := 0
-	for lv, bucket := range c.pathBuf {
-		if lv < top {
-			continue
-		}
-		op := wbOp{bucket: int32(bucket), n: int32(z), seq: c.evictCount, at: start}
-		copy(op.addrs[:z], c.addrBuf[k:k+z])
-		k += z
-		c.wbEnqueue(op)
+	for k, bucket := range c.pathBuf[c.cfg.TreetopLevels:] {
+		c.wbEnqueue(int32(bucket), start, c.locBuf[k*z:(k+1)*z])
 	}
 	return start + 1
 }
 
-// wbEnqueue parks one per-bucket write op. A bucket can never have two
-// pending ops — the eviction that refills a bucket first reads its whole
-// path, and that read force-retires any older op on it — so a duplicate
-// here means the conflict scan failed; it is repaired (retire the stale
-// op immediately) and counted as an anomaly rather than corrupting the
+// wbEnqueue parks one per-bucket write op for bucket, ready at cycle at,
+// over the bucket's slot locations. A bucket can never have two pending
+// ops — the eviction that refills a bucket first reads its whole path, and
+// that read force-retires any older op on it — so a duplicate here means
+// the conflict scan failed; it is repaired (retire the stale op
+// immediately) and counted as an anomaly rather than corrupting the
 // one-op-per-bucket invariant.
-func (c *Controller) wbEnqueue(op wbOp) {
+func (c *Controller) wbEnqueue(bucket int32, at int64, locs []dram.Loc) {
 	for i := range c.wb.ops {
-		if c.wb.ops[i].bucket == op.bucket {
+		if c.wb.ops[i].bucket == bucket {
 			c.stats.Anomalies++
-			c.wbReserve(&c.wb.ops[i], op.at)
+			c.wbReserve(&c.wb.ops[i], at)
 			c.wb.ops = append(c.wb.ops[:i], c.wb.ops[i+1:]...)
 			break
 		}
 	}
-	c.wb.ops = append(c.wb.ops, op)
+	c.wb.ops = append(c.wb.ops, wbOp{bucket: bucket, n: int32(len(locs)), seq: c.evictCount, at: at})
+	copy(c.wb.ops[len(c.wb.ops)-1].locs[:], locs)
 	c.stats.WBEnqueued++
 	if n := len(c.wb.ops); n > c.stats.WBMaxPending {
 		c.stats.WBMaxPending = n
@@ -121,7 +117,7 @@ func (c *Controller) wbEnqueue(op wbOp) {
 // the scheduler released the op; the op's wait in the queue is charged to
 // the writeback_deferred ledger row.
 func (c *Controller) wbReserve(op *wbOp, decision int64) int64 {
-	end := c.mem.ReserveBatch(op.at, dram.OpWrite, op.addrs[:op.n], nil)
+	end := c.mem.ReserveBatch(op.at, dram.OpWrite, op.locs[:op.n], nil)
 	if end > c.wbDrain {
 		c.wbDrain = end
 	}
@@ -130,6 +126,24 @@ func (c *Controller) wbReserve(op *wbOp, decision int64) int64 {
 		c.ledger().AddResource(metrics.ResWritebackDeferred, wait)
 	}
 	return end
+}
+
+// wbRetain compacts the queue in place, keeping the ops for which retire
+// returns false; retire reserves whatever it drops. retire inspects each
+// op through a pointer into the queue (an op carries a 16-entry location
+// array), and a kept op moves only when an earlier one left.
+func (c *Controller) wbRetain(retire func(op *wbOp) bool) {
+	n := 0
+	for i := range c.wb.ops {
+		if retire(&c.wb.ops[i]) {
+			continue
+		}
+		if n != i {
+			c.wb.ops[n] = c.wb.ops[i]
+		}
+		n++
+	}
+	c.wb.ops = c.wb.ops[:n]
 }
 
 // wbRetireDue force-retires, at the issue decision of a staged path read,
@@ -143,55 +157,48 @@ func (c *Controller) wbRetireDue(start int64) {
 	if len(c.wb.ops) == 0 {
 		return
 	}
-	path := c.pathBuf
-	kept := c.wb.ops[:0]
-	for i := range c.wb.ops {
-		op := c.wb.ops[i]
+	c.wbRetain(func(op *wbOp) bool {
 		due := c.evictCount-op.seq >= c.wb.maxDefer
 		if !due {
-			for _, b := range path {
+			for _, b := range c.pathBuf {
 				if int32(b) == op.bucket {
 					due = true
 					break
 				}
 			}
 		}
-		if due {
-			c.wbReserve(&op, start)
-			c.stats.WBForced++
-			if c.mc != nil && c.mc.Trace != nil {
-				c.mc.Trace.Instant("wb.forced", "oram", tidBackground, start,
-					map[string]any{"bucket": op.bucket, "age": c.evictCount - op.seq})
-			}
-		} else {
-			kept = append(kept, op)
+		if !due {
+			return false
 		}
-	}
-	c.wb.ops = kept
+		c.wbReserve(op, start)
+		c.stats.WBForced++
+		if c.mc != nil && c.mc.Trace != nil {
+			c.mc.Trace.Instant("wb.forced", "oram", tidBackground, start,
+				map[string]any{"bucket": op.bucket, "age": c.evictCount - op.seq})
+		}
+		return true
+	})
 }
 
 // wbSlotIdle drains queued ops opportunistically after a path read has
 // reserved its banks and bus: any op whose banks open an idle window
-// (NextIdleWindow) before the read completes retires under the read's
-// shadow — its bank work backfills idle bank time and its bursts queue
-// behind the read's on the bus, so the read is never delayed. Ops whose
-// banks stay busy past the read's end remain deferred for a later window,
-// the conflict rule, or the starvation bound.
+// (wbWindow) before the read completes retires under the read's shadow —
+// its bank work backfills idle bank time and its bursts queue behind the
+// read's on the bus, so the read is never delayed. Ops whose banks stay
+// busy past the read's end remain deferred for a later window, the
+// conflict rule, or the starvation bound.
 func (c *Controller) wbSlotIdle(readEnd int64) {
 	if c.wb == nil || len(c.wb.ops) == 0 {
 		return
 	}
-	kept := c.wb.ops[:0]
-	for i := range c.wb.ops {
-		op := c.wb.ops[i]
-		win := c.wbWindow(&op)
-		if win < readEnd {
-			c.wbSlot(&op, win)
-		} else {
-			kept = append(kept, op)
+	c.wbRetain(func(op *wbOp) bool {
+		win := c.wbWindow(op)
+		if win >= readEnd {
+			return false
 		}
-	}
-	c.wb.ops = kept
+		c.wbSlot(op, win)
+		return true
+	})
 }
 
 // PumpWritebacks drains queued eviction writes into the idle gap that
@@ -204,17 +211,14 @@ func (c *Controller) PumpWritebacks(now int64) {
 	if c.wb == nil || len(c.wb.ops) == 0 {
 		return
 	}
-	kept := c.wb.ops[:0]
-	for i := range c.wb.ops {
-		op := c.wb.ops[i]
-		win := c.wbWindow(&op)
-		if win+c.wb.cost <= now {
-			c.wbSlot(&op, win)
-		} else {
-			kept = append(kept, op)
+	c.wbRetain(func(op *wbOp) bool {
+		win := c.wbWindow(op)
+		if win+c.wb.cost > now {
+			return false
 		}
-	}
-	c.wb.ops = kept
+		c.wbSlot(op, win)
+		return true
+	})
 }
 
 // wbSlot retires one op into the idle window opening at win, charging the
@@ -231,11 +235,12 @@ func (c *Controller) wbSlot(op *wbOp, win int64) {
 
 // wbWindow is the earliest cycle every bank an op touches has an idle
 // window for it (a bucket is one DRAM row, so this is normally a single
-// bank's window).
+// bank's window): reservations only extend bank state forward, so a bank
+// is idle from its BankFreeAt on, and never before the op's data is ready.
 func (c *Controller) wbWindow(op *wbOp) int64 {
 	win := op.at
-	for _, a := range op.addrs[:op.n] {
-		if t := c.mem.NextIdleWindow(a, op.at, c.wb.cost); t > win {
+	for _, l := range op.locs[:op.n] {
+		if t := c.mem.BankFreeAt(l); t > win {
 			win = t
 		}
 	}

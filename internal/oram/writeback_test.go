@@ -1,8 +1,10 @@
 package oram
 
 import (
+	"slices"
 	"testing"
 
+	"shadowblock/internal/dram"
 	"shadowblock/internal/rng"
 )
 
@@ -214,5 +216,37 @@ func TestCoupledControllerWritebackAPIInert(t *testing.T) {
 	}
 	if st := c.Stats(); st.WBEnqueued != 0 || st.WBSlotted != 0 {
 		t.Fatalf("coupled controller counted writeback scheduling: %+v", st)
+	}
+}
+
+// TestWBRetainCompactsInOrder pins the in-place compaction every
+// retirement pass shares: whatever pattern of ops retires, each op is
+// offered once in FIFO order, and the kept ops stay in FIFO order with
+// their contents intact.
+func TestWBRetainCompactsInOrder(t *testing.T) {
+	c := MustNew(decoupledConfig(), nil)
+	c.wb.ops = c.wb.ops[:0]
+	for b := int32(0); b < 10; b++ {
+		op := wbOp{bucket: b, n: 1, at: int64(100 + b)}
+		op.locs[0] = dram.Loc{Row: int64(b)}
+		c.wb.ops = append(c.wb.ops, op)
+	}
+	var offered []int32
+	c.wbRetain(func(op *wbOp) bool {
+		offered = append(offered, op.bucket)
+		return op.bucket%3 == 0 || op.bucket == 4
+	})
+	if want := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}; !slices.Equal(offered, want) {
+		t.Fatalf("ops offered %v, want %v", offered, want)
+	}
+	var kept []int32
+	for _, op := range c.wb.ops {
+		if op.at != int64(100+op.bucket) || op.locs[0].Row != int64(op.bucket) {
+			t.Fatalf("kept op for bucket %d corrupted: %+v", op.bucket, op)
+		}
+		kept = append(kept, op.bucket)
+	}
+	if want := []int32{1, 2, 5, 7, 8}; !slices.Equal(kept, want) {
+		t.Fatalf("kept %v, want %v", kept, want)
 	}
 }

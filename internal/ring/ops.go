@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"shadowblock/internal/block"
+	"shadowblock/internal/dram"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/stash"
 )
@@ -101,7 +102,7 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 		meta         block.Meta
 	}
 	var picks []pick
-	c.addrBuf = c.addrBuf[:0]
+	c.locBuf = c.locBuf[:0]
 	for _, b := range path {
 		s, m := c.pickSlot(b, addr)
 		if s < 0 {
@@ -123,16 +124,16 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 			c.dummiesUp[b]--
 		}
 		picks = append(picks, pick{b, s, m})
-		c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(b, s))
+		c.locBuf = append(c.locBuf, c.mem.Locate(c.layout.SlotAddr(b, s)))
 	}
 
 	end = start + 1
-	if len(c.addrBuf) > 0 {
+	if len(c.locBuf) > 0 {
+		op := dram.OpRead
 		if c.cfg.XOR {
-			end = c.mem.ReadBatchOffBus(start, c.addrBuf, c.doneBuf[:len(c.addrBuf)])
-		} else {
-			end = c.mem.ReadBatch(start, c.addrBuf, c.doneBuf[:len(c.addrBuf)])
+			op = dram.OpReadOffBus
 		}
+		end = c.mem.ReserveBatch(start, op, c.locBuf, c.doneBuf[:len(c.locBuf)])
 	}
 	end += c.cfg.AESLatency
 
@@ -217,13 +218,8 @@ func (c *Controller) evictPath(start int64) int64 {
 	path := c.geo.Path(leaf, c.pathBuf)
 
 	// Read every slot of the path.
-	c.addrBuf = c.addrBuf[:0]
-	for _, b := range path {
-		for s := 0; s < c.cfg.Z+c.cfg.S; s++ {
-			c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(b, s))
-		}
-	}
-	end := c.mem.ReadBatch(start, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + c.cfg.AESLatency
+	c.stageBuckets(path)
+	end := c.mem.ReserveBatch(start, dram.OpRead, c.locBuf, c.doneBuf[:len(c.locBuf)]) + c.cfg.AESLatency
 	for _, b := range path {
 		c.collectBucket(b)
 	}
@@ -313,13 +309,17 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 	}
 	c.policy.EndPathWrite()
 
-	c.addrBuf = c.addrBuf[:0]
-	for _, b := range path {
-		for s := 0; s < c.cfg.Z+c.cfg.S; s++ {
-			c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(b, s))
-		}
+	c.stageBuckets(path)
+	return c.mem.ReserveBatch(start, dram.OpWrite, c.locBuf, nil)
+}
+
+// stageBuckets resolves the DRAM location of every slot of the given
+// buckets, in order, into locBuf.
+func (c *Controller) stageBuckets(buckets []int) {
+	c.locBuf = c.locBuf[:0]
+	for _, b := range buckets {
+		c.locBuf = c.mem.LocateRun(c.locBuf, c.layout.BucketAddr(b), c.cfg.Z+c.cfg.S, uint64(c.cfg.BlockBytes))
 	}
-	return c.mem.WriteBatch(start, c.addrBuf)
 }
 
 // reshuffle rewrites one exhausted bucket in place (Ring ORAM's early
@@ -328,11 +328,8 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 func (c *Controller) reshuffle(start int64, b int) int64 {
 	c.stats.Reshuffles++
 	nslots := c.cfg.Z + c.cfg.S
-	c.addrBuf = c.addrBuf[:0]
-	for s := 0; s < nslots; s++ {
-		c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(b, s))
-	}
-	end := c.mem.ReadBatch(start, c.addrBuf, c.doneBuf[:nslots]) + c.cfg.AESLatency
+	c.stageBuckets([]int{b})
+	end := c.mem.ReserveBatch(start, dram.OpRead, c.locBuf, c.doneBuf[:nslots]) + c.cfg.AESLatency
 
 	// Collect, then re-place the same bucket's reals locally.
 	var reals []block.Meta
@@ -363,7 +360,7 @@ func (c *Controller) reshuffle(start int64, b int) int64 {
 	}
 	c.policy.EndPathWrite()
 	c.recountBucket(b)
-	return c.mem.WriteBatch(end, c.addrBuf)
+	return c.mem.ReserveBatch(end, dram.OpWrite, c.locBuf, nil)
 }
 
 // popDeepest pops an address from the deepest non-empty pool at or below

@@ -131,7 +131,7 @@ type Controller struct {
 	observer func(oram.Event)
 
 	pathBuf  []int
-	addrBuf  []uint64
+	locBuf   []dram.Loc
 	doneBuf  []int64
 	poolsBuf [][]uint32
 }
@@ -169,7 +169,7 @@ func New(cfg Config, policy oram.DupPolicy) (*Controller, error) {
 		slotRNG:    rng.NewXoshiro(cfg.Seed*0x85ebca6b + 12),
 		dummyRNG:   rng.NewXoshiro(cfg.Seed*0xc2b2ae35 + 13),
 		pathBuf:    make([]int, geo.Levels()),
-		addrBuf:    make([]uint64, 0, geo.PathLen()),
+		locBuf:     make([]dram.Loc, 0, geo.PathLen()),
 		doneBuf:    make([]int64, geo.PathLen()),
 		poolsBuf:   make([][]uint32, geo.Levels()),
 	}

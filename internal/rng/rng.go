@@ -8,6 +8,8 @@
 // lock-step makes that comparison exact rather than statistical.
 package rng
 
+import "math/bits"
+
 // SplitMix64 is the splitmix64 generator by Steele, Lea and Flood. It is
 // used both directly and to seed Xoshiro streams.
 type SplitMix64 struct {
@@ -68,7 +70,7 @@ func (x *Xoshiro) Uint64n(n uint64) uint64 {
 	// Lemire's multiply-shift rejection method.
 	for {
 		v := x.Next()
-		hi, lo := mul64(v, n)
+		hi, lo := bits.Mul64(v, n)
 		if lo >= n || lo >= (-n)%n {
 			return hi
 		}
@@ -83,17 +85,4 @@ func (x *Xoshiro) Intn(n int) int {
 // Float64 returns a uniform value in [0, 1).
 func (x *Xoshiro) Float64() float64 {
 	return float64(x.Next()>>11) / (1 << 53)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }

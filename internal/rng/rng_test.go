@@ -1,9 +1,51 @@
 package rng
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
+
+// mul64Reference is the hand-rolled 128-bit multiply Uint64n used before
+// it switched to bits.Mul64, kept as the oracle for the replacement.
+func mul64Reference(a, b uint64) (hi, lo uint64) {
+	const mask = 1<<32 - 1
+	a0, a1 := a&mask, a>>32
+	b0, b1 := b&mask, b>>32
+	w0 := a0 * b0
+	t := a1*b0 + w0>>32
+	w1 := t&mask + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return hi, lo
+}
+
+// TestMul64MatchesReference pins bits.Mul64 to the reference product on
+// edge operands (0, 1, every power of two, 2^64-1 and their neighbours)
+// and on random pairs, so Uint64n's draws are unchanged by the switch.
+func TestMul64MatchesReference(t *testing.T) {
+	edges := []uint64{0, 1, 2, 3, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, 1<<64 - 1, 1<<64 - 2}
+	for k := 0; k < 64; k++ {
+		edges = append(edges, 1<<uint(k))
+	}
+	check := func(a, b uint64) {
+		t.Helper()
+		hi, lo := bits.Mul64(a, b)
+		rhi, rlo := mul64Reference(a, b)
+		if hi != rhi || lo != rlo {
+			t.Fatalf("Mul64(%#x, %#x) = (%#x, %#x), reference (%#x, %#x)", a, b, hi, lo, rhi, rlo)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	x := NewXoshiro(13)
+	for i := 0; i < 100000; i++ {
+		check(x.Next(), x.Next())
+	}
+}
 
 func TestSplitMixDeterministic(t *testing.T) {
 	a, b := NewSplitMix64(7), NewSplitMix64(7)

@@ -19,16 +19,27 @@ type Layout struct {
 	SubtreeHeight int // levels per subtree
 	// Channels > 0 selects the channel-interleaved placement; 0 is the
 	// plain contiguous-subtree layout.
-	Channels     int
-	bucketBytes  int
-	subtreeBytes int
-	// subtreeBuckets is the number of buckets in a full subtree,
-	// 2^SubtreeHeight - 1.
-	subtreeBuckets int
-	rowBytes       int
+	Channels    int
+	bucketBytes int
+	rowBytes    int
 	// bandSlotStart[b] is, for the channel owning band b, the per-channel
 	// subtree slot index of band b's first subtree (channel mode only).
 	bandSlotStart []int
+	// levels[lv] is level lv's placement, fixed at construction so that
+	// BucketAddr is a table lookup plus shifts and multiplies: no loop over
+	// bands and no division by SubtreeHeight on the request path.
+	levels []levelPlace
+	// stride is the address step between consecutive subtrees of one band:
+	// a padded subtree in the plain layout, one row per channel in the
+	// channel-interleaved one.
+	stride uint64
+}
+
+// levelPlace is one tree level's share of the layout: the level's depth
+// inside its subtree band, and the address of the band's first subtree.
+type levelPlace struct {
+	local uint
+	base  uint64
 }
 
 // NewLayout builds a subtree layout for geometry geo with the given block
@@ -47,14 +58,24 @@ func NewLayout(geo Geometry, blockBytes, rowBytes int) Layout {
 	if stride < rowBytes {
 		stride = rowBytes
 	}
-	return Layout{
-		geo:            geo,
-		BlockBytes:     blockBytes,
-		SubtreeHeight:  h,
-		bucketBytes:    bucketBytes,
-		subtreeBuckets: (1 << h) - 1,
-		subtreeBytes:   stride,
+	ly := Layout{
+		geo:           geo,
+		BlockBytes:    blockBytes,
+		SubtreeHeight: h,
+		bucketBytes:   bucketBytes,
+		stride:        uint64(stride),
+		levels:        make([]levelPlace, geo.Levels()),
 	}
+	// Subtrees are numbered breadth-first: a band's first subtree comes
+	// after every subtree of the shallower bands (band b holds 2^(b*h)).
+	var before uint64
+	for lv := range ly.levels {
+		if lv > 0 && lv%h == 0 {
+			before += 1 << uint((lv/h-1)*h)
+		}
+		ly.levels[lv] = levelPlace{local: uint(lv % h), base: before * ly.stride}
+	}
+	return ly
 }
 
 // NewChannelLayout builds a channel-interleaved subtree layout: subtree
@@ -90,13 +111,22 @@ func NewChannelLayout(geo Geometry, blockBytes, rowBytes, channels int) (Layout,
 		ly.bandSlotStart[b] = perChannel[ch]
 		perChannel[ch] += 1 << uint(b*ly.SubtreeHeight)
 	}
+	// One subtree per row; a band's row indices are congruent to its
+	// channel, so the memory system's rowIdx-mod-channels interleaving
+	// lands each subtree exactly there.
+	ly.stride = uint64(channels) * uint64(rowBytes)
+	for lv := range ly.levels {
+		b := lv / ly.SubtreeHeight
+		row := ly.bandSlotStart[b]*channels + b%channels
+		ly.levels[lv].base = uint64(row) * uint64(rowBytes)
+	}
 	return ly, nil
 }
 
 // ChannelOf returns the DRAM channel the bucket's subtree is pinned to.
 // Only meaningful for channel-interleaved layouts; the plain layout leaves
 // channel selection to the memory system's row interleaving and returns 0.
-func (ly Layout) ChannelOf(bucket int) int {
+func (ly *Layout) ChannelOf(bucket int) int {
 	if ly.Channels <= 0 {
 		return 0
 	}
@@ -106,54 +136,26 @@ func (ly Layout) ChannelOf(bucket int) int {
 // BucketAddr returns the physical byte address of the first block of the
 // given bucket.
 //
-// Subtrees are numbered breadth-first: the subtree containing the root is 0;
-// at each subtree boundary a bucket's subtree is identified by walking the
-// tree coordinates. Buckets within a subtree are stored in local heap order.
-func (ly Layout) BucketAddr(bucket int) uint64 {
+// The bucket's level selects its band's placement; its position within the
+// level splits into the subtree it belongs to (pos >> local) and its local
+// heap index inside that subtree. Buckets within a subtree are stored in
+// local heap order.
+func (ly *Layout) BucketAddr(bucket int) uint64 {
 	level := ly.geo.BucketLevel(bucket)
-	pos := bucket - ((1 << level) - 1) // position within level
-
-	h := ly.SubtreeHeight
-	// Which band of subtrees does this level fall into, and at which level
-	// within its subtree?
-	band := level / h
-	local := level % h
-
-	// The root bucket of this bucket's subtree is at level band*h, position
-	// pos >> local.
-	subRootPos := pos >> uint(local)
-
-	// Local heap index of the bucket within its subtree.
-	localIdx := (1 << uint(local)) - 1 + (pos - subRootPos<<uint(local))
-
-	if ly.Channels > 0 {
-		// One subtree per row; the row index is congruent to the band's
-		// channel so the memory system's rowIdx-mod-channels interleaving
-		// lands the subtree exactly there.
-		ch := band % ly.Channels
-		slot := ly.bandSlotStart[band] + subRootPos
-		row := slot*ly.Channels + ch
-		return uint64(row)*uint64(ly.rowBytes) + uint64(localIdx)*uint64(ly.bucketBytes)
-	}
-
-	// Number the subtrees: all subtrees in shallower bands come first, then
-	// subtrees within this band in position order.
-	var before int
-	for b := 0; b < band; b++ {
-		before += 1 << uint(b*h)
-	}
-	subtreeIdx := before + subRootPos
-
-	return uint64(subtreeIdx)*uint64(ly.subtreeBytes) + uint64(localIdx)*uint64(ly.bucketBytes)
+	pos := bucket - ((1 << uint(level)) - 1) // position within level
+	lp := ly.levels[level]
+	subRootPos := pos >> lp.local
+	localIdx := (1 << lp.local) - 1 + pos&(1<<lp.local-1)
+	return lp.base + uint64(subRootPos)*ly.stride + uint64(localIdx)*uint64(ly.bucketBytes)
 }
 
 // SlotAddr returns the physical byte address of slot s of bucket b.
-func (ly Layout) SlotAddr(bucket, slot int) uint64 {
+func (ly *Layout) SlotAddr(bucket, slot int) uint64 {
 	return ly.BucketAddr(bucket) + uint64(slot)*uint64(ly.BlockBytes)
 }
 
 // TotalBytes returns the physical footprint of the whole tree.
-func (ly Layout) TotalBytes() uint64 {
+func (ly *Layout) TotalBytes() uint64 {
 	if ly.Channels > 0 {
 		// The footprint ends one past the last bucket of whichever band's
 		// final subtree owns the highest address: its row, plus the bytes of
