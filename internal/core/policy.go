@@ -107,13 +107,11 @@ func (c Config) Validate() error {
 type candidate struct {
 	addr     uint32
 	label    uint32
-	isect    int    // IntersectLevel(label, path leaf): Rule-1 bound
-	srcLevel int    // the real copy's tree level: Rule-2 bound
-	effLevel int    // shallowest copy so far: RD-Dup priority
+	isect    int32  // IntersectLevel(label, path leaf): Rule-1 bound
+	srcLevel int32  // the real copy's tree level: Rule-2 bound
+	effLevel int32  // shallowest copy so far: RD-Dup priority
+	seq      int32  // eviction order (later = higher tie-break priority)
 	count    uint64 // Hot Address Cache count: HD-Dup priority
-	seq      int    // eviction order (later = higher tie-break priority)
-	rdPos    int32  // node positions in the two queues; -1 = not queued
-	hdPos    int32
 }
 
 // Policy implements oram.DupPolicy.
@@ -137,7 +135,13 @@ type Policy struct {
 	cands map[uint32]int32
 	rd    candQueue
 	hd    candQueue
-	seq   int
+	seq   int32
+	// last is the level of the previous SelectDup or NoteEvict in this
+	// path write; the queues' thresholds rely on levels never deepening.
+	last int
+	// picked is the candidate the last SelectDup returned (-1: none), so
+	// the NoteEvict that follows for its shadow skips the map lookup.
+	picked int32
 
 	// Statistics.
 	rdShadows, hdShadows uint64
@@ -226,6 +230,9 @@ func (p *Policy) bind(geo tree.Geometry, st *stash.Stash) error {
 	}
 	p.geo = geo
 	p.st = st
+	p.rd.bind(geo.L)
+	p.hd.bind(geo.L)
+	p.reset()
 	switch p.cfg.Mode {
 	case ModeRD:
 		p.partition = 0
@@ -270,25 +277,18 @@ func (p *Policy) BeginPathWrite(leaf uint32) {
 	// each candidate's is computed once, when its label is known.
 	p.leaf = leaf
 	p.st.ForEachShadow(func(e stash.Entry) {
-		idx := p.newCandidate(e.Meta.Addr)
-		c := &p.arena[idx]
-		c.label = e.Meta.Label
-		c.isect = p.geo.IntersectLevel(c.label, leaf)
-		c.srcLevel = int(e.Meta.SrcLevel)
-		c.effLevel = int(e.Meta.SrcLevel)
-		c.count = p.hac.Count(e.Meta.Addr)
-		c.seq = p.seq
-		p.seq++
-		p.push(idx)
+		p.enqueue(p.newCandidate(e.Meta.Addr), e.Meta.Label, int32(e.Meta.SrcLevel))
 	})
 }
 
 func (p *Policy) reset() {
 	clear(p.cands)
 	p.arena = p.arena[:0]
-	p.rd.nodes = p.rd.nodes[:0]
-	p.hd.nodes = p.hd.nodes[:0]
+	p.rd.reset()
+	p.hd.reset()
 	p.seq = 0
+	p.last = p.geo.L
+	p.picked = -1
 }
 
 // newCandidate appends a fresh unqueued candidate for addr to the arena and
@@ -296,15 +296,38 @@ func (p *Policy) reset() {
 // into the arena do not, so callers re-derive them after any append.
 func (p *Policy) newCandidate(addr uint32) int32 {
 	idx := int32(len(p.arena))
-	p.arena = append(p.arena, candidate{addr: addr, rdPos: -1, hdPos: -1})
+	p.arena = append(p.arena, candidate{addr: addr})
+	p.rd.loc = append(p.rd.loc, qloc{pos: -1})
+	p.hd.loc = append(p.hd.loc, qloc{pos: -1})
 	p.cands[addr] = idx
 	return idx
 }
 
-func (p *Policy) push(idx int32) {
+// enqueue (re)initialises candidate idx for a block with the given label
+// whose real copy sits at srcLevel, gives it the next sequence number and
+// queues it in both queues (moving it if it was queued already).
+func (p *Policy) enqueue(idx int32, label uint32, srcLevel int32) {
 	c := &p.arena[idx]
-	p.rd.put(idx, &c.rdPos, rdPrio(c))
-	p.hd.put(idx, &c.hdPos, hdPrio(c))
+	c.label = label
+	c.isect = int32(p.geo.IntersectLevel(label, p.leaf))
+	c.srcLevel = srcLevel
+	c.effLevel = srcLevel
+	c.count = p.hac.Count(c.addr)
+	c.seq = p.seq
+	p.seq++
+	p.rd.place(p.arena, idx)
+	p.hd.place(p.arena, idx)
+}
+
+// checkLevel enforces oram.DupPolicy's call order: within one path write
+// the slot level never deepens. The queues' eligibility thresholds are
+// only exact under that order, so a caller that breaks it must fail here
+// rather than silently get a different shadow.
+func (p *Policy) checkLevel(op string, level int) {
+	if level > p.last {
+		panic(fmt.Sprintf("core: %s at level %d after a call at level %d in the same path write: levels must not deepen within a path write", op, level, p.last))
+	}
+	p.last = level
 }
 
 // NoteEvict implements oram.DupPolicy. Real placements create candidates;
@@ -312,49 +335,53 @@ func (p *Policy) push(idx int32) {
 // candidate's effective level and decay its HD priority so other hot blocks
 // get their turn.
 func (p *Policy) NoteEvict(m block.Meta, level int) {
+	p.checkLevel("NoteEvict", level)
 	switch m.Kind {
 	case block.Real:
 		idx, ok := p.cands[m.Addr]
 		if !ok {
 			idx = p.newCandidate(m.Addr)
 		}
-		c := &p.arena[idx]
-		c.label = m.Label
-		c.isect = p.geo.IntersectLevel(c.label, p.leaf)
-		c.srcLevel = level
-		c.effLevel = level
-		c.count = p.hac.Count(m.Addr)
-		c.seq = p.seq
-		p.seq++
-		p.push(idx)
+		p.enqueue(idx, m.Label, int32(level))
 	case block.Shadow:
-		idx, ok := p.cands[m.Addr]
-		if !ok {
-			return
+		idx := p.picked
+		if idx < 0 || p.arena[idx].addr != m.Addr {
+			var ok bool
+			if idx, ok = p.cands[m.Addr]; !ok {
+				return
+			}
 		}
 		c := &p.arena[idx]
-		if level < c.effLevel {
-			c.effLevel = level
-			p.rd.put(idx, &c.rdPos, rdPrio(c))
+		if lv := int32(level); lv < c.effLevel {
+			c.effLevel = lv
+			p.rd.place(p.arena, idx)
 		}
 		c.count >>= 1
-		p.hd.put(idx, &c.hdPos, hdPrio(c))
+		p.hd.place(p.arena, idx)
 	}
 }
 
 // SelectDup implements oram.DupPolicy: pick the duplication candidate for
 // the free slot at the given level of path-leaf, honouring the partition
-// and Rules 1–2.
+// and Rules 1–2. Rule-1 is checked against the path given to
+// BeginPathWrite (candidate.isect), which is leaf for every slot of one
+// write. The queue's heap holds exactly the candidates eligible at this
+// level once promote has run, so its maximum is the pick; candidates not
+// yet eligible stay pending for shallower slots.
 func (p *Policy) SelectDup(leaf uint32, level int) (block.Meta, bool) {
+	p.checkLevel("SelectDup", level)
 	useHD := level < p.partition
 	q := &p.rd
 	if useHD {
 		q = &p.hd
 	}
-	c := p.popValid(q, level, useHD)
-	if c == nil {
+	q.promote(p.arena, level)
+	idx := q.pop()
+	p.picked = idx
+	if idx < 0 {
 		return block.Meta{}, false
 	}
+	c := &p.arena[idx]
 	m := block.Meta{
 		Kind:     block.Shadow,
 		Addr:     c.addr,
@@ -369,55 +396,6 @@ func (p *Policy) SelectDup(leaf uint32, level int) (block.Meta, bool) {
 		p.mc.Count("rd_shadows", 1)
 	}
 	return m, true
-}
-
-// popValid removes and returns the highest-priority candidate satisfying
-// the rules at (leaf, level): Rule-1 — the candidate's label must pass
-// through this bucket (precomputed as candidate.isect, since leaf is the
-// path given to BeginPathWrite for every slot of one write); Rule-2 — the
-// slot must be strictly above the real copy; and, for RD-Dup, the slot
-// must actually improve the candidate's effective level. Rejected
-// candidates stay queued for shallower slots.
-//
-// One linear scan finds the winner. Priorities of distinct candidates
-// never tie (the sequence number is unique per candidate), so "the node
-// with the maximum priority" is unambiguous, and a node already at or
-// below the running best is skipped without evaluating the rules.
-func (p *Policy) popValid(q *candQueue, level int, useHD bool) *candidate {
-	nodes := q.nodes
-	best := -1
-	var bestPrio int64
-	for i, n := range nodes {
-		if best >= 0 && n.prio <= bestPrio {
-			continue
-		}
-		c := &p.arena[n.cand]
-		// HD-Dup accepts zero-count candidates (the paper initialises
-		// absent addresses to priority zero); RD-Dup additionally demands
-		// the slot improve the candidate's effective arrival level.
-		if level < c.srcLevel &&
-			(useHD || level < c.effLevel) &&
-			c.isect >= level {
-			best = i
-			bestPrio = n.prio
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	// The chosen node is consumed; NoteEvict will re-queue the candidate
-	// at its new priority. The last node backfills the hole, and both
-	// affected candidates' recorded positions follow.
-	chosen := nodes[best].cand
-	last := len(nodes) - 1
-	if best != last {
-		nodes[best] = nodes[last]
-		*q.posOf(&p.arena[nodes[best].cand]) = int32(best)
-	}
-	q.nodes = nodes[:last]
-	c := &p.arena[chosen]
-	*q.posOf(c) = -1
-	return c
 }
 
 // EndPathWrite implements oram.DupPolicy: both queues are cleared after the

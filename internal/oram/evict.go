@@ -69,6 +69,11 @@ func (c *Controller) evictRetireDecoupled(leaf uint32, readEnd, writeEnd int64) 
 // pathWrite implements Algorithm 1: refill path-leaf from the stash as deep
 // as possible; free slots go to the duplication policy before defaulting to
 // dummies. Every slot is (re-)encrypted and written.
+//
+// Precondition: locBuf holds path-leaf as stagePath staged it. maybeEvict
+// calls pathWrite straight after the eviction's pathRead of the same leaf,
+// and nothing between the two restages, so the write reuses the read's
+// locations instead of resolving the path again.
 func (c *Controller) pathWrite(start int64, leaf uint32) int64 {
 	if c.observer != nil {
 		c.observer(Event{Kind: EvPathWrite, Leaf: leaf, Start: start})
@@ -133,8 +138,8 @@ func (c *Controller) pathWrite(start int64, leaf uint32) int64 {
 		c.store.set(bucket, s, block.DummyMeta, c.sealZero())
 	}
 
-	// Write back every off-chip slot.
-	c.stagePath(path)
+	// Write back every off-chip slot, over the locations the eviction's
+	// path read staged.
 	end := start + 1
 	if len(c.locBuf) > 0 {
 		end = c.dispatchWrite(start)

@@ -12,6 +12,13 @@ import "shadowblock/internal/block"
 // called for the shadows SelectDup itself creates, so a policy can track
 // each block's effective (shallowest-copy) level, as the paper's Fig. 4
 // example requires.
+//
+// The leaf-to-root order is load-bearing: within one path write the level
+// passed to NoteEvict and SelectDup never increases (a later call is at the
+// same level or closer to the root). The shadow-block policy relies on it
+// to turn Rules 1–2 into per-candidate thresholds that, once met, stay met
+// for the rest of the write, and it panics on a call deeper than the one
+// before it.
 type DupPolicy interface {
 	// BeginPathWrite starts the bookkeeping for one path write.
 	BeginPathWrite(leaf uint32)

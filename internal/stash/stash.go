@@ -36,7 +36,8 @@ type Entry struct {
 	// (the Hot Address Cache itself is LFU, §V-B). Real blocks ignore it.
 	Priority uint64
 
-	seq uint64 // insertion order; tie-break for shadow turnover
+	seq  uint64 // insertion order; tie-break for shadow turnover
+	hpos int32  // a shadow's position in Stash.victims
 }
 
 // InsertResult describes what Insert did with a block.
@@ -63,6 +64,12 @@ type Stash struct {
 	shadowCap int // max resident shadows; the rest is headroom for reals
 	entries   []Entry
 	index     map[uint32]int // addr -> position in entries
+	// victims is a min-heap over the resident shadows keyed by
+	// (Priority, seq), both fixed at insertion: its root is the shadow
+	// Rule-3 displacement and shadow turnover replace. It lives beside
+	// entries so entries keeps its order (ForEach* callers number
+	// candidates by it).
+	victims []victimNode
 
 	realCount   int
 	shadowCount int
@@ -86,6 +93,7 @@ func New(capacity int) *Stash {
 		shadowCap: capacity * 3 / 4,
 		entries:   make([]Entry, 0, capacity),
 		index:     make(map[uint32]int, capacity),
+		victims:   make([]victimNode, 0, capacity),
 	}
 }
 
@@ -144,6 +152,7 @@ func (s *Stash) insertReal(e Entry) InsertResult {
 			return MergedReal
 		}
 		// Merge case 1: the real block replaces its shadow in place.
+		s.victimRemove(int(old.hpos))
 		s.entries[i] = e
 		s.shadowCount--
 		s.realCount++
@@ -157,6 +166,7 @@ func (s *Stash) insertReal(e Entry) InsertResult {
 	// Displace a shadow (Rule-3): any shadow may be replaced; pick the
 	// least valuable one (lowest priority, then oldest).
 	if vi := s.shadowVictim(); vi >= 0 {
+		s.victimRemove(0)
 		delete(s.index, s.entries[vi].Meta.Addr)
 		s.seq++
 		e.seq = s.seq
@@ -174,18 +184,10 @@ func (s *Stash) insertReal(e Entry) InsertResult {
 // shadowVictim returns the index of the lowest-priority (then oldest)
 // resident shadow, or -1 when none is resident.
 func (s *Stash) shadowVictim() int {
-	victim := -1
-	for i := range s.entries {
-		if s.entries[i].Meta.Kind != block.Shadow {
-			continue
-		}
-		if victim == -1 ||
-			s.entries[i].Priority < s.entries[victim].Priority ||
-			(s.entries[i].Priority == s.entries[victim].Priority && s.entries[i].seq < s.entries[victim].seq) {
-			victim = i
-		}
+	if len(s.victims) == 0 {
+		return -1
 	}
-	return victim
+	return int(s.victims[0].ent)
 }
 
 func (s *Stash) insertShadow(e Entry) InsertResult {
@@ -212,6 +214,9 @@ func (s *Stash) insertShadow(e Entry) InsertResult {
 		e.seq = s.seq
 		s.entries[victim] = e
 		s.index[e.Meta.Addr] = victim
+		// The newcomer outranks the root it replaced, so it can only sink.
+		s.victims[0] = victimNode{prio: e.Priority, seq: e.seq, ent: int32(victim)}
+		s.victimDown(0)
 		return Inserted
 	}
 	s.append(e)
@@ -227,6 +232,8 @@ func (s *Stash) append(e Entry) {
 		s.realCount++
 	} else {
 		s.shadowCount++
+		s.victims = append(s.victims, victimNode{prio: e.Priority, seq: e.seq, ent: int32(len(s.entries) - 1)})
+		s.victimUp(len(s.victims) - 1)
 	}
 	s.noteHighWater()
 }
@@ -300,10 +307,16 @@ func (s *Stash) Drop(addr uint32) { s.Take(addr) }
 func (s *Stash) removeAt(i int) {
 	e := s.entries[i]
 	delete(s.index, e.Meta.Addr)
+	if e.Meta.Kind == block.Shadow {
+		s.victimRemove(int(e.hpos))
+	}
 	last := len(s.entries) - 1
 	if i != last {
 		s.entries[i] = s.entries[last]
 		s.index[s.entries[i].Meta.Addr] = i
+		if s.entries[i].Meta.Kind == block.Shadow {
+			s.victims[s.entries[i].hpos].ent = int32(i)
+		}
 	}
 	s.entries = s.entries[:last]
 	if e.Meta.Kind == block.Real {
@@ -338,4 +351,69 @@ func (s *Stash) ForEachShadow(fn func(Entry)) {
 			fn(s.entries[i])
 		}
 	}
+}
+
+// victimNode is one resident shadow in the victim heap.
+type victimNode struct {
+	prio uint64 // the entry's Priority
+	seq  uint64 // the entry's insertion order
+	ent  int32  // the entry's position in entries
+}
+
+func (a victimNode) less(b victimNode) bool {
+	return a.prio < b.prio || (a.prio == b.prio && a.seq < b.seq)
+}
+
+// victimRemove deletes heap node i; the last node fills the hole.
+func (s *Stash) victimRemove(i int) {
+	last := len(s.victims) - 1
+	n := s.victims[last]
+	s.victims = s.victims[:last]
+	if i == last {
+		return
+	}
+	s.victims[i] = n
+	if i > 0 && n.less(s.victims[(i-1)/2]) {
+		s.victimUp(i)
+	} else {
+		s.victimDown(i)
+	}
+}
+
+func (s *Stash) victimUp(i int) {
+	h := s.victims
+	n := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !n.less(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		s.entries[h[i].ent].hpos = int32(i)
+		i = parent
+	}
+	h[i] = n
+	s.entries[n.ent].hpos = int32(i)
+}
+
+func (s *Stash) victimDown(i int) {
+	h := s.victims
+	n := h[i]
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r].less(h[child]) {
+			child = r
+		}
+		if !h[child].less(n) {
+			break
+		}
+		h[i] = h[child]
+		s.entries[h[i].ent].hpos = int32(i)
+		i = child
+	}
+	h[i] = n
+	s.entries[n.ent].hpos = int32(i)
 }

@@ -304,3 +304,68 @@ func TestInsertDummyPanics(t *testing.T) {
 	}()
 	New(2).Insert(Entry{Meta: block.DummyMeta})
 }
+
+// shadowVictimScan is the linear scan the victim heap replaced, kept as
+// the reference: the lowest-priority, then oldest, resident shadow.
+func shadowVictimScan(s *Stash) int {
+	victim := -1
+	for i := range s.entries {
+		if s.entries[i].Meta.Kind != block.Shadow {
+			continue
+		}
+		if victim == -1 ||
+			s.entries[i].Priority < s.entries[victim].Priority ||
+			(s.entries[i].Priority == s.entries[victim].Priority && s.entries[i].seq < s.entries[victim].seq) {
+			victim = i
+		}
+	}
+	return victim
+}
+
+// TestShadowVictimMatchesScan drives random insert/take/merge sequences
+// through a small stash (so it is often full and shadows turn over) and
+// checks after every operation that the victim heap names the shadow the
+// reference scan picks, and that every resident shadow's heap position
+// points back at it.
+func TestShadowVictimMatchesScan(t *testing.T) {
+	type op struct {
+		Action uint8
+		Addr   uint8
+		Prio   uint8
+	}
+	f := func(ops []op) bool {
+		s := New(12) // shadowCap = 9
+		for _, o := range ops {
+			addr := uint32(o.Addr % 40)
+			prio := uint64(o.Prio % 6) // few values: ties exercise the seq tie-break
+			switch o.Action % 5 {
+			case 0:
+				s.Insert(real(addr, addr)) // merge case 1 when addr is a resident shadow
+			case 1, 2:
+				s.Insert(prioShadow(addr, prio))
+			case 3:
+				s.Take(addr)
+			case 4:
+				s.Relabel(addr, addr+1)
+			}
+			if got, want := s.shadowVictim(), shadowVictimScan(s); got != want {
+				t.Logf("victim = %d, scan = %d", got, want)
+				return false
+			}
+			if len(s.victims) != s.ShadowCount() {
+				t.Logf("%d heap nodes for %d shadows", len(s.victims), s.ShadowCount())
+				return false
+			}
+			for i, e := range s.entries {
+				if e.Meta.Kind == block.Shadow && s.victims[e.hpos].ent != int32(i) {
+					t.Logf("shadow at %d has heap position %d naming entry %d", i, e.hpos, s.victims[e.hpos].ent)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
