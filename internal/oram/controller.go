@@ -309,32 +309,30 @@ func MustNew(cfg Config, policy DupPolicy) *Controller {
 	return c
 }
 
-// initialPlacement fills the tree respecting the path invariant: each block
-// goes to the deepest non-full bucket on its assigned path.
+// initialPlacement lays out the starting tree (PlaceInitial) and, in
+// functional mode, seals it: each occupied bucket is written to the backend
+// once, its real slots holding fresh encryptions of a zero block and its
+// other slots empty (nil), like a bucket never written.
 func (c *Controller) initialPlacement() error {
-	occ := make([]uint8, c.geo.NumBuckets())
-	total := c.pos.Hierarchy().TotalBlocks()
-	for a := 0; a < total; a++ {
-		addr := uint32(a)
-		label := c.pos.Label(addr)
-		placed := false
-		for lv := c.geo.L; lv >= 0; lv-- {
-			b := c.geo.BucketAt(label, lv)
-			if int(occ[b]) < c.geo.Z {
-				m := block.Meta{Kind: block.Real, Addr: addr, Label: label}
-				c.store.set(b, int(occ[b]), m, c.sealZero())
-				occ[b]++
-				placed = true
-				break
-			}
+	dataBytes := 0
+	if c.cfg.Functional {
+		dataBytes = c.cfg.BlockBytes
+	}
+	occ, err := PlaceInitial(c.geo, c.geo.Z, c.store.slots, c.pos.Labels(), c.st, dataBytes)
+	if err != nil || c.store.back == nil {
+		return err
+	}
+	zero := c.zeroPlain()
+	for b, n := range occ {
+		if n == 0 {
+			continue
 		}
-		if !placed {
-			if c.st.Insert(stash.Entry{
-				Meta: block.Meta{Kind: block.Real, Addr: addr, Label: label},
-				Data: c.zeroPlain(),
-			}) == stash.Overflow {
-				return fmt.Errorf("oram: initial placement overflowed the stash")
-			}
+		sealed := make([][]byte, c.geo.Z)
+		for s := range sealed[:n] {
+			sealed[s] = c.engine.Encrypt(zero)
+		}
+		if err := c.store.back.WriteBucket(b, sealed); err != nil {
+			return fmt.Errorf("oram: sealing bucket %d of the initial tree: %w", b, err)
 		}
 	}
 	return nil

@@ -89,3 +89,17 @@ func BenchmarkQueueIssue(b *testing.B) {
 		now = done + 10
 	}
 }
+
+// BenchmarkNewEngine times one full engine construction at the default
+// geometry (L=18, recursive position map): label generation, initial
+// placement and the DRAM model. Fig. 11 builds one engine per cell, so
+// this is the set-up cost every sweep pays.
+func BenchmarkNewEngine(b *testing.B) {
+	cfg := Default()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(cfg, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -133,9 +133,7 @@ type Store struct {
 // from [0, numLeaves), as after the one-time oblivious initialisation.
 func NewStore(h Hierarchy, numLeaves uint32, r *rng.Xoshiro) *Store {
 	s := &Store{hier: h, labels: make([]uint32, h.TotalBlocks())}
-	for i := range s.labels {
-		s.labels[i] = uint32(r.Uint64n(uint64(numLeaves)))
-	}
+	r.FillUint32n(s.labels, numLeaves)
 	return s
 }
 
@@ -144,6 +142,10 @@ func (s *Store) Hierarchy() Hierarchy { return s.hier }
 
 // Label returns the current label of addr.
 func (s *Store) Label(addr uint32) uint32 { return s.labels[addr] }
+
+// Labels returns every label indexed by address. The slice is the store's
+// own: callers must treat it as read-only.
+func (s *Store) Labels() []uint32 { return s.labels }
 
 // SetLabel records a remap of addr.
 func (s *Store) SetLabel(addr, label uint32) { s.labels[addr] = label }

@@ -174,7 +174,9 @@ func New(cfg Config, policy oram.DupPolicy) (*Controller, error) {
 		poolsBuf:   make([][]uint32, geo.Levels()),
 	}
 	c.pos = posmap.NewStore(posmap.Direct(cfg.NumDataBlocks()), geo.NumLeaves(), rng.NewXoshiro(cfg.Seed*0x27d4eb2f+14))
-	c.initialPlacement()
+	if err := c.initialPlacement(); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -208,37 +210,22 @@ func (c *Controller) SetObserver(fn func(oram.Event)) { c.observer = fn }
 // Drain returns the completion cycle of all issued work.
 func (c *Controller) Drain() int64 { return c.busyUntil }
 
-func (c *Controller) initialPlacement() {
-	occ := make([]uint8, c.geo.NumBuckets())
-	n := uint32(c.cfg.NumDataBlocks())
-	for addr := uint32(0); addr < n; addr++ {
-		label := c.pos.Label(addr)
-		placed := false
-		for lv := c.geo.L; lv >= 0; lv-- {
-			b := c.geo.BucketAt(label, lv)
-			if int(occ[b]) < c.cfg.Z {
-				i := c.geo.SlotIndex(b, int(occ[b]))
-				c.slots[i] = block.Meta{Kind: block.Real, Addr: addr, Label: label}.Pack()
-				c.valid[i] = true
-				occ[b]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			c.st.Insert(stash.Entry{Meta: block.Meta{Kind: block.Real, Addr: addr, Label: label}})
-		}
+// initialPlacement fills the Z real slots of each bucket with the shared
+// Path ORAM starting placement (oram.PlaceInitial); every slot starts
+// valid, the unfilled ones as dummies.
+func (c *Controller) initialPlacement() error {
+	occ, err := oram.PlaceInitial(c.geo, c.cfg.Z, c.slots, c.pos.Labels(), c.st, 0)
+	if err != nil {
+		return err
 	}
-	// Every remaining slot is a valid dummy; count them.
-	for b := 0; b < c.geo.NumBuckets(); b++ {
-		for s := int(occ[b]); s < c.geo.Z; s++ {
-			c.valid[c.geo.SlotIndex(b, s)] = true // leftover real slots start as dummies
-		}
-		for s := c.cfg.Z; s < c.cfg.Z+c.cfg.S; s++ {
-			c.valid[c.geo.SlotIndex(b, s)] = true
-		}
-		c.recountBucket(b)
+	for i := range c.valid {
+		c.valid[i] = true
 	}
+	for b, n := range occ {
+		c.realsAlive[b] = n
+		c.dummiesUp[b] = uint8(c.geo.Z) - n
+	}
+	return nil
 }
 
 // recountBucket refreshes the per-bucket valid-dummy and live-real counts.

@@ -190,3 +190,64 @@ func BenchmarkRingRequest(b *testing.B) {
 		now = out.Done + 1
 	}
 }
+
+// BenchmarkNewRing times one Ring ORAM construction at the default
+// geometry (L=18, Z=4 real among Z+S=10 slots per bucket).
+func BenchmarkNewRing(b *testing.B) {
+	cfg := Default()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(cfg, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestNewRejectsStashOverflow: with Z=1 and the minimum stash, half of
+// the 2^(L+2) blocks cannot be placed, so construction must fail rather
+// than return a tree that silently lost them.
+func TestNewRejectsStashOverflow(t *testing.T) {
+	cfg := Default()
+	cfg.L, cfg.Z = 8, 1
+	cfg.StashCapacity = cfg.Z * (cfg.L + 1)
+	if _, err := New(cfg, nil); err == nil {
+		t.Fatal("construction that overflowed the stash returned no error")
+	}
+}
+
+// TestInitialStateMatchesPlacement checks New's wiring of the shared
+// placement: the slot image and stash are oram.PlaceInitial's for the
+// controller's own labels, every slot starts valid, and the per-bucket
+// counters agree with a from-scratch recount.
+func TestInitialStateMatchesPlacement(t *testing.T) {
+	cfg := testConfig()
+	cfg.Z = 2 // spills into the stash at L=8
+	c := MustNew(cfg, nil)
+
+	slots := make([]uint64, c.geo.NumSlots())
+	st := stash.New(cfg.StashCapacity)
+	if _, err := oram.PlaceInitial(c.geo, cfg.Z, slots, c.pos.Labels(), st, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range slots {
+		if c.slots[i] != p {
+			t.Fatalf("slot %d: %v, placement gives %v", i, block.Unpack(c.slots[i]), block.Unpack(p))
+		}
+		if !c.valid[i] {
+			t.Fatalf("slot %d starts invalid", i)
+		}
+	}
+	if st.Len() == 0 || st.Len() != c.st.Len() {
+		t.Fatalf("stash holds %d blocks, placement spilled %d (want > 0)", c.st.Len(), st.Len())
+	}
+	for b := 0; b < c.geo.NumBuckets(); b++ {
+		dummies, reals := c.dummiesUp[b], c.realsAlive[b]
+		c.recountBucket(b)
+		if c.dummiesUp[b] != dummies || c.realsAlive[b] != reals {
+			t.Fatalf("bucket %d: counters %d/%d, recount %d/%d", b, dummies, reals, c.dummiesUp[b], c.realsAlive[b])
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

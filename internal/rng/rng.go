@@ -77,6 +77,39 @@ func (x *Xoshiro) Uint64n(n uint64) uint64 {
 	}
 }
 
+// FillUint32n sets dst[i] to a uniform value in [0, n) for each i in
+// order. It yields exactly the values, and leaves x in exactly the state,
+// of len(dst) calls to Uint64n(n); it only keeps the generator state in
+// locals and computes the rejection threshold once. n must be > 0.
+func (x *Xoshiro) FillUint32n(dst []uint32, n uint32) {
+	if n == 0 {
+		panic("rng: FillUint32n with n == 0")
+	}
+	m := uint64(n)
+	// Uint64n accepts lo >= n || lo >= (-n)%n; since (-n)%n < n, that is
+	// lo >= (-n)%n alone.
+	thresh := -m % m
+	s0, s1, s2, s3 := x.s[0], x.s[1], x.s[2], x.s[3]
+	for i := range dst {
+		for {
+			v := rotl(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = rotl(s3, 45)
+			hi, lo := bits.Mul64(v, m)
+			if lo >= thresh {
+				dst[i] = uint32(hi)
+				break
+			}
+		}
+	}
+	x.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Intn returns a uniform value in [0, n). n must be > 0.
 func (x *Xoshiro) Intn(n int) int {
 	return int(x.Uint64n(uint64(n)))

@@ -122,3 +122,51 @@ func TestIntn(t *testing.T) {
 		}
 	}
 }
+
+// TestFillUint32nMatchesUint64n pins the batch fill to repeated Uint64n:
+// the same values and the same next Next(). It covers a power-of-two n
+// (no rejection possible), non-powers of two, and a hand-built state whose
+// first output is 0, which Uint64n rejects for any n that is not a power
+// of two, so the rejection branch provably runs.
+func TestFillUint32nMatchesUint64n(t *testing.T) {
+	rejecting := Xoshiro{s: [4]uint64{1, 0, 2, 3}} // first output rotl(0*5,7)*9 = 0
+	if probe := rejecting; probe.Next() != 0 {
+		t.Fatal("crafted state does not start with a zero output")
+	}
+	starts := map[string]Xoshiro{
+		"seed1":     *NewXoshiro(1),
+		"seed99":    *NewXoshiro(99),
+		"rejecting": rejecting,
+	}
+	for _, n := range []uint32{1, 2, 1 << 18, 3, 1000003, 3 << 30, 1<<32 - 1} {
+		for name, start := range starts {
+			for _, size := range []int{0, 1, 7, 1000} {
+				ref, got := start, start
+				want := make([]uint32, size)
+				for i := range want {
+					want[i] = uint32(ref.Uint64n(uint64(n)))
+				}
+				out := make([]uint32, size)
+				got.FillUint32n(out, n)
+				for i := range want {
+					if out[i] != want[i] {
+						t.Fatalf("n=%d %s size=%d: dst[%d]=%d, Uint64n gave %d", n, name, size, i, out[i], want[i])
+					}
+				}
+				if got.Next() != ref.Next() {
+					t.Fatalf("n=%d %s size=%d: generator state differs after the fill", n, name, size)
+				}
+			}
+		}
+	}
+
+	// The crafted state's first draw really is rejected: it consumes two
+	// outputs, not one.
+	once, twice := rejecting, rejecting
+	once.Uint64n(3)
+	twice.Next()
+	twice.Next()
+	if once != twice {
+		t.Fatal("Uint64n(3) from the crafted state did not reject its first output")
+	}
+}
